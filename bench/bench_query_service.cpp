@@ -19,6 +19,12 @@
 // plus live_p99_us / queries_per_second as catastrophic-only ratios and
 // cache_hit_ratio as a bounded (deterministic workload) quantity.
 //
+// snapshot_refresh_us times RollupStore::snapshot() apart from the HTTP
+// load, at the federation root's scale: 32 ranks x 89 metrics (2848
+// series) at the full 600-window fine retention, with one rank's 89
+// series touched between refreshes.  Copy-on-write storage makes it
+// O(series pointers), independent of retention depth (DESIGN.md §12).
+//
 // Emits BENCH_query.json (json::Writer); --out <path> overrides.
 #include <algorithm>
 #include <chrono>
@@ -34,6 +40,7 @@
 #include "aggregator/daemon.hpp"
 #include "aggregator/http.hpp"
 #include "aggregator/queryservice.hpp"
+#include "aggregator/store.hpp"
 #include "aggregator/transport.hpp"
 #include "aggregator/wire.hpp"
 #include "common/interning.hpp"
@@ -57,6 +64,10 @@ double secondsSince(std::chrono::steady_clock::time_point start) {
                                        start)
       .count();
 }
+
+constexpr int kRefreshRanks = 32;
+constexpr int kRefreshMetrics = 89;
+constexpr int kRefreshes = 200;
 
 double percentile(std::vector<double>& sorted, double p) {
   if (sorted.empty()) return 0.0;
@@ -116,6 +127,41 @@ struct Pipeline {
   std::string lastBody;
   double t = 1.0;
 };
+
+/// Median RollupStore::snapshot() time, in microseconds, on a full-
+/// retention fleet-root-sized store (see the header comment).
+double measureSnapshotRefreshUs() {
+  RollupStore store;
+  const int retention = store.options().fineRetentionWindows;
+  std::vector<SeriesKey> keys;
+  for (int rank = 0; rank < kRefreshRanks; ++rank) {
+    for (int m = 0; m < kRefreshMetrics; ++m) {
+      keys.push_back({"fleet", rank, "metric." + std::to_string(m)});
+    }
+  }
+  for (int w = 0; w < retention; ++w) {
+    for (const SeriesKey& key : keys) {
+      store.ingest(key, w + 0.5, static_cast<double>(w % 100));
+    }
+  }
+  std::vector<double> us;
+  us.reserve(kRefreshes);
+  StoreSnapshot held = store.snapshot();
+  for (int i = 0; i < kRefreshes; ++i) {
+    const double t = retention + 0.1 * i;
+    const auto rank = static_cast<std::size_t>(i % kRefreshRanks);
+    for (int m = 0; m < kRefreshMetrics; ++m) {
+      store.ingest(keys[rank * kRefreshMetrics + static_cast<std::size_t>(m)],
+                   t, static_cast<double>(m));
+    }
+    const auto refreshStart = std::chrono::steady_clock::now();
+    StoreSnapshot next = store.snapshot();
+    us.push_back(secondsSince(refreshStart) * 1e6);
+    held = std::move(next);  // the old view is released outside the timing
+  }
+  std::sort(us.begin(), us.end());
+  return percentile(us, 0.50);
+}
 
 }  // namespace
 
@@ -235,6 +281,7 @@ int main(int argc, char** argv) {
           : 0.0;
   const bool shedNotStalled =
       overload200 > 0 && overload429 > 0 && overloadIncomplete == 0;
+  const double refreshUs = measureSnapshotRefreshUs();
 
   std::cout << "  ingested:   " << daemonCounters.recordsIngested
             << " records (dropped " << clientCounters.recordsDropped << ")\n"
@@ -245,7 +292,9 @@ int main(int argc, char** argv) {
             << "  cache:      " << qc.cacheHits << " hits / "
             << qc.cacheMisses << " misses (ratio " << hitRatio << ", "
             << qc.cacheEvictions << " evictions)\n"
-            << "  snapshot:   " << qc.snapshotRefreshes << " refreshes\n"
+            << "  snapshot:   " << qc.snapshotRefreshes << " refreshes; "
+            << kRefreshRanks * kRefreshMetrics << "-series refresh p50 "
+            << refreshUs << " us\n"
             << "  overload:   " << overload200 << " served, " << overload429
             << " shed, " << overloadIncomplete << " incomplete\n"
             << "  shed total: live " << qc.shedLive << ", bulk "
@@ -278,6 +327,7 @@ int main(int argc, char** argv) {
     w.field("cache_misses", qc.cacheMisses);
     w.field("cache_hit_ratio", hitRatio);
     w.field("snapshot_refreshes", qc.snapshotRefreshes);
+    w.field("snapshot_refresh_us", refreshUs);
     w.field("records_ingested", daemonCounters.recordsIngested);
     w.field("records_dropped", clientCounters.recordsDropped);
     w.field("overload_served", overload200);

@@ -202,6 +202,11 @@ def checks_query(base, fresh):
         Check("query.queries_per_second", RATIO,
               get(base, "queries_per_second") if base else None,
               get(fresh, "queries_per_second"), higher_is_better=True),
+        # Copy-on-write refresh of a 2848-series store at full retention:
+        # a slip back to deep copies costs ~1000x, far outside the band.
+        Check("query.snapshot_refresh_us", RATIO,
+              get(base, "snapshot_refresh_us") if base else None,
+              get(fresh, "snapshot_refresh_us")),
     ]
 
 

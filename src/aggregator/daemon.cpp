@@ -99,7 +99,8 @@ void Aggregator::attachWriter(TsdbWriter* writer) {
 }
 
 PressureLevel Aggregator::pressure() const {
-  double occupancy = static_cast<double>(pending_.size()) /
+  double occupancy = static_cast<double>(pendingDepth_.load(
+                         std::memory_order_relaxed)) /
                      static_cast<double>(options_.maxPendingBatches);
   if (writer_ != nullptr) {
     occupancy = std::max(occupancy, writer_->occupancy());
@@ -132,12 +133,15 @@ void Aggregator::persistSource(const std::pair<std::string, int>& key,
   record.lastSeenSeconds = info.lastSeenSeconds;
   record.batches = info.batches;
   record.records = info.records;
-  if (writer_ != nullptr && writer_->threaded()) {
-    std::lock_guard<std::mutex> lock(writer_->engineMutex());
-    engine_->noteSource(record);
-    return;
-  }
+  const std::unique_lock<std::mutex> lock = lockEngine();
   engine_->noteSource(record);
+}
+
+std::unique_lock<std::mutex> Aggregator::lockEngine() const {
+  if (writer_ != nullptr && writer_->threaded()) {
+    return std::unique_lock<std::mutex>(writer_->engineMutex());
+  }
+  return {};
 }
 
 void Aggregator::sendAck(std::uint64_t connection, std::uint64_t batchSeq) {
@@ -253,6 +257,7 @@ void Aggregator::admitBatch(std::uint64_t connection, ConnState& conn,
     ++counters_.admissionBackstops;
     PendingBatch oldest = std::move(pending_.front());
     pending_.pop_front();
+    pendingDepth_.store(pending_.size(), std::memory_order_relaxed);
     processBatch(oldest, nowSeconds);
   }
   PendingBatch batch;
@@ -275,6 +280,7 @@ void Aggregator::admitBatch(std::uint64_t connection, ConnState& conn,
   }
   batch.frame = std::move(frame);
   pending_.push_back(std::move(batch));
+  pendingDepth_.store(pending_.size(), std::memory_order_relaxed);
 }
 
 void Aggregator::processBatch(PendingBatch& batch, double nowSeconds) {
@@ -501,6 +507,7 @@ void Aggregator::poll(double nowSeconds) {
     }
     PendingBatch batch = std::move(pending_.front());
     pending_.pop_front();
+    pendingDepth_.store(pending_.size(), std::memory_order_relaxed);
     processBatch(batch, nowSeconds);
     ++processed;
   }
@@ -543,6 +550,7 @@ void Aggregator::drainBacklog(double nowSeconds) {
     }
     PendingBatch batch = std::move(pending_.front());
     pending_.pop_front();
+    pendingDepth_.store(pending_.size(), std::memory_order_relaxed);
     processBatch(batch, nowSeconds);
   }
   if (writer_ != nullptr) {
@@ -711,12 +719,9 @@ std::string Aggregator::dashboard(double nowSeconds) const {
 }
 
 std::string Aggregator::query(const std::string& requestJson) const {
-  if (writer_ != nullptr && writer_->threaded()) {
-    // The worker thread appends to the engine; serialize query-path
-    // reads against it (the engine is single-owner by contract).
-    std::lock_guard<std::mutex> lock(writer_->engineMutex());
-    return runQuery(*this, requestJson);
-  }
+  // The worker thread appends to the engine; serialize query-path reads
+  // against it (the engine is single-owner by contract).
+  const std::unique_lock<std::mutex> lock = lockEngine();
   return runQuery(*this, requestJson);
 }
 

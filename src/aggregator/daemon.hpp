@@ -19,10 +19,12 @@
 // frontier), so "acked" always means "survives a crash".
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <deque>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -137,6 +139,9 @@ class Aggregator {
   [[nodiscard]] QueryService* queryService() const { return queryService_; }
 
   [[nodiscard]] const tsdb::Engine* engine() const { return engine_; }
+  /// Locks out a threaded TsdbWriter's appends while the caller reads
+  /// engine(); holds nothing when no threaded writer is attached.
+  [[nodiscard]] std::unique_lock<std::mutex> lockEngine() const;
 
   [[nodiscard]] const RollupStore& store() const { return store_; }
   /// Mutable store access for a co-located Forwarder (dirty-window
@@ -257,6 +262,9 @@ class Aggregator {
   DaemonCounters counters_;
   std::map<std::uint64_t, ConnState> connections_;
   std::deque<PendingBatch> pending_;
+  /// pending_.size(), mirrored for pressure(): query threads read it
+  /// while poll() mutates the deque.
+  std::atomic<std::size_t> pendingDepth_{0};
   std::deque<PendingAck> pendingAcks_;
   /// Per-source ingest cache: interned metric name -> resolved store
   /// series.  Keyed by (job, rank) — not per connection — so deferred

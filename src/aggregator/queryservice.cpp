@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <sstream>
+#include <utility>
 
 #include "aggregator/daemon.hpp"
 #include "common/json.hpp"
@@ -66,9 +67,18 @@ QueryService::QueryService(const Aggregator& daemon,
 
 void QueryService::beginPoll(double nowSeconds) {
   (void)nowSeconds;
-  std::lock_guard<std::mutex> lock(admitMutex_);
-  queriesThisPoll_ = 0;
-  bulkThisPoll_ = 0;
+  std::shared_ptr<const StoreSnapshot> retired;
+  {
+    std::lock_guard<std::mutex> lock(snapMutex_);
+    retired = std::move(retired_);
+  }
+  {
+    std::lock_guard<std::mutex> lock(admitMutex_);
+    queriesThisPoll_ = 0;
+    bulkThisPoll_ = 0;
+  }
+  // `retired` is released here, between polls: freeing the versions
+  // only it still held is kept off the request that refreshed.
 }
 
 void QueryService::onRecord(const std::string& job, int rank,
@@ -116,28 +126,21 @@ QueryResult QueryService::executeParams(
   return run(parsed, cls, nowSeconds);
 }
 
-std::shared_ptr<const StoreSnapshot> QueryService::snapshot(
-    double nowSeconds) {
+std::shared_ptr<const StoreSnapshot> QueryService::snapshot() {
   std::shared_ptr<const StoreSnapshot> out;
+  std::shared_ptr<const StoreSnapshot> dropped;  // released unlocked
   bool refreshed = false;
-  std::uint64_t keepGeneration = 0;
   {
     std::lock_guard<std::mutex> lock(snapMutex_);
-    const std::uint64_t liveGeneration = daemon_.store().dataGeneration();
-    const bool stale = !snap_ || snap_->generation() != liveGeneration;
-    if (stale &&
-        nowSeconds - lastRefreshSeconds_ >= options_.snapshotMinIntervalSeconds) {
-      snap_ = std::make_shared<const StoreSnapshot>(daemon_.store().snapshot());
-      lastRefreshSeconds_ = nowSeconds;
+    // A refresh copies one version pointer per series (the store shares
+    // window storage copy-on-write), so every stale read refreshes.  The
+    // replaced snapshot waits in retired_ for the next beginPoll().
+    if (!snap_ || snap_->generation() != daemon_.store().dataGeneration()) {
+      dropped = std::exchange(
+          retired_,
+          std::exchange(snap_, std::make_shared<const StoreSnapshot>(
+                                   daemon_.store().snapshot())));
       refreshed = true;
-      keepGeneration = snap_->generation();
-      snapshotRefreshes_.fetch_add(1, std::memory_order_relaxed);
-    } else if (!snap_) {
-      // First call inside the rate-limit window: serve *something*.
-      snap_ = std::make_shared<const StoreSnapshot>(daemon_.store().snapshot());
-      lastRefreshSeconds_ = nowSeconds;
-      refreshed = true;
-      keepGeneration = snap_->generation();
       snapshotRefreshes_.fetch_add(1, std::memory_order_relaxed);
     }
     out = snap_;
@@ -146,7 +149,7 @@ std::shared_ptr<const StoreSnapshot> QueryService::snapshot(
     // Generation moved: every cached body keyed to an older generation
     // can never be requested again (keys embed the generation), so
     // reclaim the memory eagerly rather than waiting for LRU pressure.
-    cacheSweep(keepGeneration);
+    cacheSweep(*out);
   }
   return out;
 }
@@ -363,15 +366,24 @@ QueryResult QueryService::run(Parsed& parsed, QueryClass cls,
     return result;
   }
 
-  const std::shared_ptr<const StoreSnapshot> snap = snapshot(nowSeconds);
-  std::uint64_t generation = snap->generation();
-  if (parsed.op == "export" && daemon_.engine() != nullptr) {
+  std::shared_ptr<const StoreSnapshot> snap;
+  CacheDomain domain = CacheDomain::kData;
+  std::uint64_t generation = 0;
+  if (parsed.op == "series") {
+    // The key set alone decides a series answer: it stays cached while
+    // ingest only changes data, and a hit needs no snapshot refresh.
+    domain = CacheDomain::kMembership;
+    generation = daemon_.store().membershipGeneration();
+  } else if (parsed.op == "export" && daemon_.engine() != nullptr) {
     // Exports read the persistence engine (deep history), so their cache
     // entries invalidate on engine appends, not store mutations.
+    domain = CacheDomain::kEngine;
     generation = daemon_.engine()->dataGeneration();
+  } else {
+    snap = snapshot();
+    generation = snap->generation();
   }
-  const std::string cacheKey =
-      parsed.key + "#g" + std::to_string(generation);
+  std::string cacheKey = parsed.key + "#g" + std::to_string(generation);
 
   if (options_.cacheMaxEntries > 0) {
     std::string hit = cacheLookup(cacheKey);
@@ -397,6 +409,16 @@ QueryResult QueryService::run(Parsed& parsed, QueryClass cls,
             false, retryAfter};
   }
   cacheMisses_.fetch_add(1, std::memory_order_relaxed);
+  if (snap == nullptr) {
+    snap = snapshot();
+    if (domain == CacheDomain::kMembership &&
+        snap->membershipGeneration() != generation) {
+      // Series came or went since the lookup: key the answer to the
+      // membership it shows.
+      generation = snap->membershipGeneration();
+      cacheKey = parsed.key + "#g" + std::to_string(generation);
+    }
+  }
 
   std::string body;
   if (parsed.op == "series") {
@@ -411,7 +433,7 @@ QueryResult QueryService::run(Parsed& parsed, QueryClass cls,
     body = runExport(*snap, parsed);
   }
   if (options_.cacheMaxEntries > 0) {
-    cacheInsert(cacheKey, generation, body);
+    cacheInsert(cacheKey, domain, generation, body);
   }
   finish(cls, false, monotonicSeconds() - startedAt);
   return {200, std::move(body), false, 0.0};
@@ -463,7 +485,7 @@ std::string QueryService::runSeries(const StoreSnapshot& snap) {
   std::ostringstream out;
   json::Writer w(out);
   w.beginObject()
-      .field("generation", snap.generation())
+      .field("membership_generation", snap.membershipGeneration())
       .key("series")
       .beginArray();
   for (const SeriesSnapshot& series : snap.series()) {
@@ -486,10 +508,7 @@ std::string QueryService::runSnapshotOp(const StoreSnapshot& snap,
       .field("generation", snap.generation())
       .key("series")
       .beginArray();
-  for (const SeriesSnapshot& series : snap.series()) {
-    if (parsed.hasJob && series.key.job != parsed.job) continue;
-    if (parsed.hasRank && series.key.rank != parsed.rank) continue;
-    if (!parsed.metric.empty() && series.key.metric != parsed.metric) continue;
+  auto writeSeries = [&](const SeriesSnapshot& series) {
     w.beginObject()
         .field("job", series.key.job)
         .field("rank", static_cast<std::int64_t>(series.key.rank))
@@ -503,6 +522,23 @@ std::string QueryService::runSnapshotOp(const StoreSnapshot& snap,
       writeWindowRow(w, *coarse);
     }
     w.endObject();
+  };
+  if (parsed.hasJob && parsed.hasRank && !parsed.metric.empty()) {
+    // One fully named series (the marker and per-rank panels): a binary
+    // search instead of a scan over every series.
+    if (const SeriesSnapshot* series =
+            snap.find({parsed.job, parsed.rank, parsed.metric})) {
+      writeSeries(*series);
+    }
+  } else {
+    for (const SeriesSnapshot& series : snap.series()) {
+      if (parsed.hasJob && series.key.job != parsed.job) continue;
+      if (parsed.hasRank && series.key.rank != parsed.rank) continue;
+      if (!parsed.metric.empty() && series.key.metric != parsed.metric) {
+        continue;
+      }
+      writeSeries(series);
+    }
   }
   w.endArray().endObject();
   out << '\n';
@@ -545,14 +581,18 @@ std::string QueryService::runWindow(const StoreSnapshot& snap,
     std::lock_guard<std::mutex> lock(ladderMutex_);
     anchor = ladderMaxTimeSeconds_;
   }
+  // One pass over the snapshot: the metric's series, and their anchor.
+  std::vector<const SeriesSnapshot*> matched;
   for (const SeriesSnapshot& series : snap.series()) {
     if (series.key.metric != parsed.metric) continue;
     if (!series.fine.empty()) {
-      anchor = std::max(anchor, (static_cast<double>(
-                                     series.fine.rbegin()->first) +
-                                 1.0) *
-                                    snap.fineWindowSeconds());
+      anchor = std::max(
+          anchor, (static_cast<double>(series.fine.newestIndex()) + 1.0) *
+                      snap.fineWindowSeconds());
     }
+    if (parsed.hasJob && series.key.job != parsed.job) continue;
+    if (parsed.hasRank && series.key.rank != parsed.rank) continue;
+    matched.push_back(&series);
   }
   std::ostringstream out;
   json::Writer w(out);
@@ -563,10 +603,8 @@ std::string QueryService::runWindow(const StoreSnapshot& snap,
       .field("anchor_s", anchor)
       .key("series")
       .beginArray();
-  for (const SeriesSnapshot& series : snap.series()) {
-    if (parsed.hasJob && series.key.job != parsed.job) continue;
-    if (parsed.hasRank && series.key.rank != parsed.rank) continue;
-    if (series.key.metric != parsed.metric) continue;
+  for (const SeriesSnapshot* matchedSeries : matched) {
+    const SeriesSnapshot& series = *matchedSeries;
     LadderWindow window =
         ladderRead(series.key, parsed.windowSeconds, anchor);
     if (!window.fromLadder) {
@@ -576,7 +614,7 @@ std::string QueryService::runWindow(const StoreSnapshot& snap,
       // fallback rate says the ladder config misses a dashboard window.
       ladderFallbacks_.fetch_add(1, std::memory_order_relaxed);
       for (const WindowRollup& row :
-           snap.range(series.key, anchor - parsed.windowSeconds, anchor,
+           snap.range(series, anchor - parsed.windowSeconds, anchor,
                       Resolution::kFine)) {
         window.rollup.combine(row.rollup);
         ++window.buckets;
@@ -601,6 +639,9 @@ std::string QueryService::runWindow(const StoreSnapshot& snap,
 std::string QueryService::runExport(const StoreSnapshot& snap,
                                     const Parsed& parsed) {
   const tsdb::Engine* engine = daemon_.engine();
+  // A threaded TsdbWriter appends to the engine from its worker thread;
+  // the engine is single-owner, so reads take the writer's engine lock.
+  const std::unique_lock<std::mutex> engineLock = daemon_.lockEngine();
   std::ostringstream out;
   json::Writer w(out);
   w.beginObject()
@@ -697,7 +738,7 @@ std::string QueryService::cacheLookup(const std::string& key) {
   return it->second->body;
 }
 
-void QueryService::cacheInsert(const std::string& key,
+void QueryService::cacheInsert(const std::string& key, CacheDomain domain,
                                std::uint64_t generation,
                                const std::string& body) {
   std::lock_guard<std::mutex> lock(cacheMutex_);
@@ -706,7 +747,7 @@ void QueryService::cacheInsert(const std::string& key,
     // existing entry (same generation -> bit-identical body anyway).
     return;
   }
-  lru_.push_front(CacheEntry{key, generation, body});
+  lru_.push_front(CacheEntry{key, domain, generation, body});
   cacheIndex_[key] = lru_.begin();
   cacheBytes_ += key.size() + body.size();
   while (!lru_.empty() && (lru_.size() > options_.cacheMaxEntries ||
@@ -719,10 +760,21 @@ void QueryService::cacheInsert(const std::string& key,
   }
 }
 
-void QueryService::cacheSweep(std::uint64_t keepGeneration) {
+void QueryService::cacheSweep(const StoreSnapshot& current) {
+  const tsdb::Engine* engine = daemon_.engine();
+  const std::uint64_t engineGeneration =
+      engine != nullptr ? engine->dataGeneration() : 0;
   std::lock_guard<std::mutex> lock(cacheMutex_);
   for (auto it = lru_.begin(); it != lru_.end();) {
-    if (it->generation != keepGeneration) {
+    std::uint64_t now = current.generation();
+    if (it->domain == CacheDomain::kMembership) {
+      now = current.membershipGeneration();
+    } else if (it->domain == CacheDomain::kEngine) {
+      now = engineGeneration;
+    }
+    // Older, not different: a concurrent refresh may already have
+    // cached bodies at a newer generation than `current`.
+    if (it->generation < now) {
       cacheBytes_ -= it->key.size() + it->body.size();
       cacheIndex_.erase(it->key);
       it = lru_.erase(it);

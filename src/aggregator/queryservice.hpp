@@ -6,19 +6,24 @@
 //
 //   1. Snapshot-isolated reads.  Readers never touch the live
 //      RollupStore: the service keeps one shared immutable StoreSnapshot
-//      (shared_ptr, copy-on-read) and refreshes it only when the store's
-//      dataGeneration() has advanced AND a minimum interval has elapsed.
-//      Every query runs against a frozen generation — no torn reads, no
-//      reader-side shard-lock contention against ingest, and the cost of
-//      the full-store copy is amortized over every reader in the window.
+//      (shared_ptr) and refreshes it whenever the store's
+//      dataGeneration() has advanced, so every query reads the store's
+//      current generation.  A refresh shares window storage with the
+//      store (copy-on-write) and costs one pointer per series, so it
+//      needs no rate limit.  Every query runs against a frozen
+//      generation — no torn reads, no reader-side shard-lock contention
+//      against ingest.
 //
-//   2. A bounded query-result cache keyed by (normalized query, data
+//   2. A bounded query-result cache keyed by (normalized query,
 //      generation).  GET and POST forms of the same logical query
 //      normalize to one canonical key, so they share entries; a key
 //      embeds the generation it was computed at, so an ingest-driven
 //      generation bump invalidates implicitly (stale keys can never be
 //      asked for again) and a sweep on refresh reclaims the memory.
 //      Within one generation the cache returns bit-identical bodies.
+//      `series` answers depend only on the key set, so they key on the
+//      store's membership generation and stay cached while only data
+//      changes; exports key on the tsdb engine's generation.
 //      On top of the cache, precomputed downsample ladders for the
 //      common dashboard windows (last 1m / 10m / 1h) are maintained
 //      incrementally on ingest — a ring of sub-window rollups per
@@ -68,9 +73,6 @@ struct QueryServiceOptions {
   /// Result-cache bounds; 0 entries disables caching entirely.
   std::size_t cacheMaxEntries = 256;
   std::size_t cacheMaxBytes = 4 * 1024 * 1024;
-  /// Snapshot refresh rate limit: even under continuous ingest the
-  /// full-store copy is taken at most this often.
-  double snapshotMinIntervalSeconds = 0.25;
   /// Admission budgets, reset by beginPoll(): total queries per poll,
   /// and the slice of that total bulk-class queries may use.
   std::size_t maxQueriesPerPoll = 128;
@@ -116,8 +118,9 @@ class QueryService {
   QueryService(const QueryService&) = delete;
   QueryService& operator=(const QueryService&) = delete;
 
-  /// Opens a fresh admission budget.  The owner's event loop calls this
-  /// once per iteration, before the HTTP poll that delivers queries.
+  /// Opens a fresh admission budget and releases the snapshot the last
+  /// refresh replaced.  The owner's event loop calls this once per
+  /// iteration, before the HTTP poll that delivers queries.
   void beginPoll(double nowSeconds);
 
   /// Ingest hook (called by the daemon per record): folds one
@@ -138,10 +141,9 @@ class QueryService {
       const std::string& op, const std::map<std::string, std::string>& params,
       QueryClass cls, double nowSeconds);
 
-  /// The shared read snapshot, refreshing it first when the store moved
-  /// and the rate limit allows.  Never null after the first call.
-  [[nodiscard]] std::shared_ptr<const StoreSnapshot> snapshot(
-      double nowSeconds);
+  /// The shared read snapshot at the store's current generation,
+  /// refreshed first when the store moved.  Never null.
+  [[nodiscard]] std::shared_ptr<const StoreSnapshot> snapshot();
 
   [[nodiscard]] QueryServiceCounters counters() const;
   [[nodiscard]] std::size_t cacheEntries() const;
@@ -213,10 +215,15 @@ class QueryService {
   [[nodiscard]] LadderWindow ladderRead(const SeriesKey& key,
                                         double windowSeconds, double anchor);
 
+  /// Which generation counter a cache entry's key embeds.
+  enum class CacheDomain : std::uint8_t { kData, kMembership, kEngine };
+
   [[nodiscard]] std::string cacheLookup(const std::string& key);
-  void cacheInsert(const std::string& key, std::uint64_t generation,
-                   const std::string& body);
-  void cacheSweep(std::uint64_t keepGeneration);
+  void cacheInsert(const std::string& key, CacheDomain domain,
+                   std::uint64_t generation, const std::string& body);
+  /// Drops every entry keyed to a generation older than its domain's
+  /// current one (those keys can never be asked for again).
+  void cacheSweep(const StoreSnapshot& current);
 
   const Aggregator& daemon_;
   QueryServiceOptions options_;
@@ -224,11 +231,13 @@ class QueryService {
   // --- shared snapshot (snapMutex_) ----------------------------------------
   mutable std::mutex snapMutex_;
   std::shared_ptr<const StoreSnapshot> snap_;
-  double lastRefreshSeconds_ = -1e18;
+  /// The snapshot the last refresh replaced, released by beginPoll().
+  std::shared_ptr<const StoreSnapshot> retired_;
 
   // --- result cache (cacheMutex_) ------------------------------------------
   struct CacheEntry {
     std::string key;
+    CacheDomain domain = CacheDomain::kData;
     std::uint64_t generation = 0;
     std::string body;
   };

@@ -2,10 +2,200 @@
 
 #include <cmath>
 #include <functional>
+#include <limits>
 
 #include "common/error.hpp"
 
 namespace zerosum::aggregator {
+
+namespace {
+
+constexpr std::int64_t kSlotMask = WindowChunk::kWindows - 1;
+
+std::int64_t chunkNumber(std::int64_t index) {
+  return index >> WindowChunk::kShift;  // floor division, negatives too
+}
+
+int slotOf(std::int64_t index) { return static_cast<int>(index & kSlotMask); }
+
+/// Index of the window holding time `t`, clamped to the int64 range so
+/// an open-ended bound (t1 = 1e300) or NaN cannot overflow the cast.
+std::int64_t windowIndexOf(double t, double width) {
+  const double w = std::floor(t / width);
+  if (!(w > -9.2e18)) {
+    return std::numeric_limits<std::int64_t>::min();
+  }
+  if (w >= 9.2e18) {
+    return std::numeric_limits<std::int64_t>::max();
+  }
+  return static_cast<std::int64_t>(w);
+}
+
+/// Oldest window index kept when `newest` is the newest, saturating.
+std::int64_t oldestKept(std::int64_t newest, int retention) {
+  const std::int64_t back = retention - 1;
+  return newest < std::numeric_limits<std::int64_t>::min() + back
+             ? std::numeric_limits<std::int64_t>::min()
+             : newest - back;
+}
+
+/// True when `index` lies beyond the retention horizon of `newest`
+/// (computed in unsigned arithmetic: the difference cannot overflow).
+bool tooOld(std::int64_t index, std::int64_t newest, int retention) {
+  return index < newest && static_cast<std::uint64_t>(newest) -
+                                   static_cast<std::uint64_t>(index) >=
+                               static_cast<std::uint64_t>(retention);
+}
+
+const WindowPlane& planeOf(const SeriesSnapshot& version,
+                           Resolution resolution) {
+  return resolution == Resolution::kFine ? version.fine : version.coarse;
+}
+
+WindowPlane& planeOf(SeriesSnapshot& version, Resolution resolution) {
+  return resolution == Resolution::kFine ? version.fine : version.coarse;
+}
+
+std::optional<WindowRollup> latestOf(const WindowPlane& windows,
+                                     double width) {
+  if (windows.empty()) {
+    return std::nullopt;
+  }
+  WindowRollup out;
+  out.windowStartSeconds = static_cast<double>(windows.newestIndex()) * width;
+  out.windowSeconds = width;
+  out.rollup = *windows.find(windows.newestIndex());
+  return out;
+}
+
+std::vector<WindowRollup> rangeOf(const WindowPlane& windows, double t0,
+                                  double t1, double width) {
+  std::vector<WindowRollup> out;
+  if (t1 < t0) {
+    return out;
+  }
+  const std::int64_t last = windowIndexOf(t1, width);
+  for (auto it = windows.lowerBound(windowIndexOf(t0, width));
+       it != windows.end(); ++it) {
+    const auto [index, rollup] = *it;
+    if (index > last) {
+      break;
+    }
+    WindowRollup row;
+    row.windowStartSeconds = static_cast<double>(index) * width;
+    row.windowSeconds = width;
+    row.rollup = rollup;
+    out.push_back(row);
+  }
+  return out;
+}
+
+}  // namespace
+
+// --- WindowPlane -------------------------------------------------------------
+
+WindowPlane::const_iterator::const_iterator(const WindowPlane* plane,
+                                            std::int64_t from)
+    : plane_(plane) {
+  at_ = plane_->seek(from, index_);
+  if (at_ == nullptr) {
+    index_ = 0;  // end(): one canonical position
+  }
+}
+
+WindowPlane::const_iterator& WindowPlane::const_iterator::operator++() {
+  if (index_ == plane_->newest_) {
+    at_ = nullptr;  // the head is the last window
+    index_ = 0;
+  } else {
+    at_ = plane_->seek(index_ + 1, index_);
+  }
+  return *this;
+}
+
+WindowPlane::const_iterator WindowPlane::const_iterator::operator++(int) {
+  const_iterator old = *this;
+  ++*this;
+  return old;
+}
+
+const Rollup* WindowPlane::seek(std::int64_t from, std::int64_t& index) const {
+  from = std::max(from, oldest_);
+  if (size_ == 0 || from > newest_) {
+    return nullptr;
+  }
+  if (table_ != nullptr && from < newest_) {
+    const auto& chunks = table_->chunks;
+    const std::int64_t first = table_->firstChunk;
+    std::size_t at = 0;
+    if (chunkNumber(from) > first) {
+      at = static_cast<std::size_t>(chunkNumber(from) - first);
+    }
+    for (; at < chunks.size(); ++at) {
+      const std::int64_t base =
+          (first + static_cast<std::int64_t>(at)) * WindowChunk::kWindows;
+      if (base >= newest_) {
+        break;
+      }
+      if (chunks[at] == nullptr) {
+        continue;
+      }
+      for (int slot = from > base ? slotOf(from) : 0;
+           slot < WindowChunk::kWindows && base + slot < newest_; ++slot) {
+        const Rollup& rollup = chunks[at]->slots[static_cast<std::size_t>(slot)];
+        if (rollup.count != 0) {
+          index = base + slot;
+          return &rollup;
+        }
+      }
+    }
+  }
+  index = newest_;
+  return &head_;
+}
+
+WindowPlane::const_iterator WindowPlane::begin() const {
+  return const_iterator(this, oldest_);
+}
+
+WindowPlane::const_iterator WindowPlane::end() const {
+  const_iterator out;
+  out.plane_ = this;
+  return out;
+}
+
+WindowPlane::const_iterator WindowPlane::lowerBound(std::int64_t index) const {
+  return const_iterator(this, index);
+}
+
+const WindowChunk* WindowPlane::chunk(std::int64_t index) const {
+  if (table_ == nullptr || size_ == 0 || index < oldest_ ||
+      index >= newest_) {
+    return nullptr;
+  }
+  const std::int64_t c = chunkNumber(index);
+  if (c < table_->firstChunk ||
+      static_cast<std::uint64_t>(c - table_->firstChunk) >=
+          table_->chunks.size()) {
+    return nullptr;
+  }
+  return table_->chunks[static_cast<std::size_t>(c - table_->firstChunk)]
+      .get();
+}
+
+const Rollup* WindowPlane::find(std::int64_t index) const {
+  if (size_ != 0 && index == newest_) {
+    return &head_;
+  }
+  const WindowChunk* c = chunk(index);
+  if (c == nullptr) {
+    return nullptr;
+  }
+  const Rollup& slot = c->slots[static_cast<std::size_t>(slotOf(index))];
+  return slot.count != 0 ? &slot : nullptr;
+}
+
+// --- RollupStore -------------------------------------------------------------
 
 RollupStore::RollupStore(StoreOptions options) : options_(options) {
   if (options_.fineWindowSeconds <= 0.0) {
@@ -44,22 +234,174 @@ double RollupStore::windowSeconds(Resolution resolution) const {
              : options_.fineWindowSeconds * options_.coarseFactor;
 }
 
-void RollupStore::mergeBounded(std::map<std::int64_t, Rollup>& windows,
-                               std::int64_t index, double value,
-                               int retention, std::uint64_t& evicted) {
-  const std::int64_t newest =
-      windows.empty() ? index : std::max(index, windows.rbegin()->first);
-  const std::int64_t oldestKept = newest - retention + 1;
-  if (index < oldestKept) {
-    return;  // beyond the retention horizon: too old to matter
+int RollupStore::retention(Resolution resolution) const {
+  return resolution == Resolution::kFine ? options_.fineRetentionWindows
+                                         : options_.coarseRetentionWindows;
+}
+
+RollupStore::Series& RollupStore::seriesLocked(Shard& shard,
+                                               const SeriesKey& key) {
+  auto [it, inserted] = shard.series.try_emplace(key);
+  if (inserted) {
+    it->second.version = std::make_shared<SeriesSnapshot>(
+        std::make_shared<const SeriesKey>(key));
+    it->second.epoch = publishEpoch_;
+    membershipGeneration_.fetch_add(1, std::memory_order_release);
   }
-  windows[index].merge(value);
-  // Evict windows that fell off the horizon (at most a handful per
-  // ingest; amortized O(1)).
-  while (!windows.empty() && windows.begin()->first < oldestKept) {
-    windows.erase(windows.begin());
-    ++evicted;
+  return it->second;
+}
+
+SeriesSnapshot& RollupStore::writableVersion(Series& series) const {
+  if (series.epoch != publishEpoch_) {
+    // Published: clone the version (key + chunk pointers, no windows).
+    series.version = std::make_shared<SeriesSnapshot>(*series.version);
+    series.epoch = publishEpoch_;
+    if (series.slot != kNoSlot) {
+      index_[series.slot] = series.version;  // this shard's slot alone
+    }
   }
+  return *series.version;
+}
+
+Rollup& RollupStore::writableSlot(WindowPlane& plane,
+                                  std::int64_t index) const {
+  auto& table = plane.table_;
+  if (table == nullptr) {
+    table = std::make_shared<WindowPlane::Table>();
+    table->firstChunk = chunkNumber(index);
+    table->epoch = publishEpoch_;
+  } else if (table->epoch != publishEpoch_) {
+    // Published: clone the table (chunk pointers, no windows).
+    table = std::make_shared<WindowPlane::Table>(*table);
+    table->epoch = publishEpoch_;
+  }
+  // `index` lies inside the retention span and hideBelow drops chunks
+  // that fall out of it, so the table never grows past ~retention /
+  // kWindows + 2 entries.
+  auto& chunks = table->chunks;
+  const std::int64_t c = chunkNumber(index);
+  if (chunks.empty()) {
+    table->firstChunk = c;
+    chunks.emplace_back();
+  } else if (c < table->firstChunk) {
+    chunks.insert(chunks.begin(),
+                  static_cast<std::size_t>(table->firstChunk - c), nullptr);
+    table->firstChunk = c;
+  } else if (static_cast<std::uint64_t>(c - table->firstChunk) >=
+             chunks.size()) {
+    chunks.resize(static_cast<std::size_t>(c - table->firstChunk) + 1);
+  }
+  auto& chunk = chunks[static_cast<std::size_t>(c - table->firstChunk)];
+  if (chunk == nullptr) {
+    chunk = std::make_shared<WindowChunk>();
+    chunk->epoch = publishEpoch_;
+  } else if (chunk->epoch != publishEpoch_) {
+    chunk = std::make_shared<WindowChunk>(*chunk);  // published: clone
+    chunk->epoch = publishEpoch_;
+  }
+  return chunk->slots[static_cast<std::size_t>(slotOf(index))];
+}
+
+void RollupStore::hideBelow(WindowPlane& plane, std::int64_t oldestKept,
+                            std::uint64_t& evicted) const {
+  if (oldestKept <= plane.oldest_) {
+    return;
+  }
+  if (plane.table_ != nullptr) {
+    // Count the chunk windows in [oldest_, min(oldestKept, newest_)).
+    const std::int64_t stop = std::min(oldestKept, plane.newest_);
+    const auto& chunks = plane.table_->chunks;
+    const std::int64_t first = plane.table_->firstChunk;
+    std::size_t drop = 0;
+    for (std::size_t at = 0; at < chunks.size(); ++at) {
+      const std::int64_t base =
+          (first + static_cast<std::int64_t>(at)) * WindowChunk::kWindows;
+      if (base >= stop) {
+        break;
+      }
+      if (chunks[at] != nullptr) {
+        for (int slot = 0; slot < WindowChunk::kWindows; ++slot) {
+          const std::int64_t index = base + slot;
+          if (index >= plane.oldest_ && index < stop &&
+              chunks[at]->slots[static_cast<std::size_t>(slot)].count != 0) {
+            ++evicted;
+            --plane.size_;
+          }
+        }
+      }
+      if (base + (WindowChunk::kWindows - 1) < oldestKept) {
+        drop = at + 1;  // wholly below the horizon
+      }
+    }
+    if (drop == chunks.size()) {
+      plane.table_.reset();
+    } else if (drop > 0) {
+      // Dropping whole chunks rewrites only the table.
+      if (plane.table_->epoch != publishEpoch_) {
+        plane.table_ = std::make_shared<WindowPlane::Table>(*plane.table_);
+        plane.table_->epoch = publishEpoch_;
+      }
+      auto& mine = plane.table_->chunks;
+      mine.erase(mine.begin(), mine.begin() + static_cast<std::ptrdiff_t>(drop));
+      plane.table_->firstChunk += static_cast<std::int64_t>(drop);
+    }
+  }
+  plane.oldest_ = oldestKept;
+}
+
+void RollupStore::trimBelow(WindowPlane& plane, std::int64_t oldestKept,
+                            std::uint64_t& evicted) const {
+  if (plane.size_ == 0 || oldestKept <= plane.oldest_) {
+    return;
+  }
+  if (plane.newest_ < oldestKept) {
+    evicted += plane.size_;  // the head too: nothing survives
+    plane.size_ = 0;
+    plane.table_.reset();
+    plane.oldest_ = oldestKept;
+    return;
+  }
+  hideBelow(plane, oldestKept, evicted);
+}
+
+Rollup* RollupStore::admitWindow(WindowPlane& plane, std::int64_t index,
+                                 int retention,
+                                 std::uint64_t& evicted) const {
+  if (plane.size_ == 0) {
+    plane.table_.reset();
+    plane.head_ = Rollup{};
+    plane.newest_ = index;
+    plane.oldest_ = oldestKept(index, retention);
+    plane.size_ = 1;
+    return &plane.head_;
+  }
+  if (tooOld(index, plane.newest_, retention)) {
+    return nullptr;  // beyond the retention horizon: too old to matter
+  }
+  if (index == plane.newest_) {
+    return &plane.head_;
+  }
+  if (index < plane.newest_) {
+    Rollup& slot = writableSlot(plane, index);
+    if (slot.count == 0) {
+      ++plane.size_;
+    }
+    return &slot;
+  }
+  // A new newest window: the head moves into its chunk, and the windows
+  // the new newest pushes off the horizon are evicted (whole chunks at a
+  // time are dropped; amortized O(1) per ingest).
+  const std::int64_t keep = oldestKept(index, retention);
+  if (plane.newest_ >= keep) {
+    writableSlot(plane, plane.newest_) = plane.head_;
+    hideBelow(plane, keep, evicted);
+  } else {
+    trimBelow(plane, keep, evicted);
+  }
+  plane.head_ = Rollup{};
+  plane.newest_ = index;
+  ++plane.size_;
+  return &plane.head_;
 }
 
 void RollupStore::markDirtyLocked(Series& series, Resolution resolution,
@@ -77,17 +419,24 @@ void RollupStore::markDirtyLocked(Series& series, Resolution resolution,
 void RollupStore::mergeLocked(Series& series, double timeSeconds,
                               double value, Shard& shard) {
   dataGeneration_.fetch_add(1, std::memory_order_release);
-  const auto fineIndex = static_cast<std::int64_t>(
-      std::floor(timeSeconds / options_.fineWindowSeconds));
-  mergeBounded(series.fine, fineIndex, value, options_.fineRetentionWindows,
-               shard.evicted);
+  SeriesSnapshot& version = writableVersion(series);
+  const std::int64_t fineIndex =
+      windowIndexOf(timeSeconds, options_.fineWindowSeconds);
+  if (Rollup* slot = admitWindow(version.fine, fineIndex,
+                                 options_.fineRetentionWindows,
+                                 shard.evicted)) {
+    slot->merge(value);
+  }
   markDirtyLocked(series, Resolution::kFine, fineIndex, shard);
   const std::int64_t coarseIndex =
       fineIndex >= 0 ? fineIndex / options_.coarseFactor
                      : (fineIndex - options_.coarseFactor + 1) /
                            options_.coarseFactor;
-  mergeBounded(series.coarse, coarseIndex, value,
-               options_.coarseRetentionWindows, shard.evicted);
+  if (Rollup* slot = admitWindow(version.coarse, coarseIndex,
+                                 options_.coarseRetentionWindows,
+                                 shard.evicted)) {
+    slot->merge(value);
+  }
   markDirtyLocked(series, Resolution::kCoarse, coarseIndex, shard);
   ++shard.ingested;
 }
@@ -100,7 +449,7 @@ void RollupStore::ingest(const SeriesKey& key, double timeSeconds,
   }
   Shard& shard = shardOf(key);
   std::lock_guard<std::mutex> lock(shard.mutex);
-  mergeLocked(shard.series[key], timeSeconds, value, shard);
+  mergeLocked(seriesLocked(shard, key), timeSeconds, value, shard);
 }
 
 void RollupStore::ingest(const SeriesKey& key, SeriesRef& ref,
@@ -118,7 +467,7 @@ void RollupStore::ingest(const SeriesKey& key, SeriesRef& ref,
   // freed node.
   const std::uint64_t gen = generation_.load(std::memory_order_acquire);
   if (ref.series == nullptr || ref.generation != gen) {
-    ref.series = &ref.shard->series[key];
+    ref.series = &seriesLocked(*ref.shard, key);
     ref.generation = gen;
   }
   mergeLocked(*ref.series, timeSeconds, value, *ref.shard);
@@ -133,10 +482,14 @@ std::size_t RollupStore::evictSource(const std::string& job, int rank) {
     std::lock_guard<std::mutex> lock(shard->mutex);
     for (auto it = shard->series.begin(); it != shard->series.end();) {
       if (it->first.job == job && it->first.rank == rank) {
-        shard->evicted += it->second.fine.size() + it->second.coarse.size();
+        const SeriesSnapshot& version = *it->second.version;
+        shard->evicted += version.fine.size() + version.coarse.size();
         shard->dirty -=
             it->second.dirtyFine.size() + it->second.dirtyCoarse.size();
         it = shard->series.erase(it);
+        // Under the lock that guards the erase: snapshot()'s series
+        // index must never outlive the node it points to.
+        membershipGeneration_.fetch_add(1, std::memory_order_release);
         ++dropped;
       } else {
         ++it;
@@ -155,73 +508,57 @@ bool RollupStore::ingestWindow(const SeriesKey& key, Resolution resolution,
   }
   Shard& shard = shardOf(key);
   std::lock_guard<std::mutex> lock(shard.mutex);
-  Series& series = shard.series[key];
-  auto& windows =
-      resolution == Resolution::kFine ? series.fine : series.coarse;
-  const int retention = resolution == Resolution::kFine
-                            ? options_.fineRetentionWindows
-                            : options_.coarseRetentionWindows;
-  const std::int64_t newest =
-      windows.empty() ? windowIndex
-                      : std::max(windowIndex, windows.rbegin()->first);
-  if (windowIndex < newest - retention + 1) {
+  Series& series = seriesLocked(shard, key);
+  const int retain = retention(resolution);
+  // Decide on the shared version first: a rejected window copies nothing.
+  const WindowPlane& current = planeOf(*series.version, resolution);
+  if (!current.empty() &&
+      tooOld(windowIndex, current.newestIndex(), retain)) {
     return false;  // beyond the retention horizon: too old to matter
   }
-  auto [it, inserted] = windows.try_emplace(windowIndex);
-  const bool newer = inserted || rollup.count > it->second.count;
-  if (newer) {
-    // Cumulative snapshots are monotone in count: higher count = newer.
-    // Replacing (never combining) keeps retransmits idempotent.
-    it->second = rollup;
-    markDirtyLocked(series, resolution, windowIndex, shard);
-    ++shard.ingested;
-    dataGeneration_.fetch_add(1, std::memory_order_release);
-  } else if (inserted) {
-    windows.erase(it);
+  if (const Rollup* stored = current.find(windowIndex);
+      stored != nullptr && rollup.count <= stored->count) {
+    return false;  // not newer: a retransmit or a stale duplicate
   }
-  while (!windows.empty() && windows.begin()->first < newest - retention + 1) {
-    windows.erase(windows.begin());
-    ++shard.evicted;
-  }
-  return newer;
+  // Cumulative snapshots are monotone in count: higher count = newer.
+  // Replacing (never combining) keeps retransmits idempotent.  The
+  // horizon check above means the window is always admitted.
+  WindowPlane& windows = planeOf(writableVersion(series), resolution);
+  *admitWindow(windows, windowIndex, retain, shard.evicted) = rollup;
+  markDirtyLocked(series, resolution, windowIndex, shard);
+  ++shard.ingested;
+  dataGeneration_.fetch_add(1, std::memory_order_release);
+  return true;
 }
 
 void RollupStore::merge(const RollupStore& other) {
-  for (const auto& otherShard : other.shards_) {
-    // Snapshot the other shard's windows under its lock, then release it
-    // before taking this store's locks (no lock ordering between stores).
-    std::vector<std::pair<SeriesKey, Series>> copied;
-    {
-      std::lock_guard<std::mutex> lock(otherShard->mutex);
-      copied.reserve(otherShard->series.size());
-      for (const auto& [key, series] : otherShard->series) {
-        copied.emplace_back(key, series);
+  // Read `other` through a snapshot of its own: a consistent view that
+  // holds none of its locks while this store's are taken (no lock
+  // ordering between stores), and that other's writers will not touch.
+  const StoreSnapshot incoming = other.snapshot();
+  for (const SeriesSnapshot& theirs : incoming.series()) {
+    Shard& shard = shardOf(theirs.key);
+    std::lock_guard<std::mutex> lock(shard.mutex);
+    SeriesSnapshot& mine = writableVersion(seriesLocked(shard, theirs.key));
+    for (const Resolution resolution :
+         {Resolution::kFine, Resolution::kCoarse}) {
+      const WindowPlane& source = planeOf(theirs, resolution);
+      if (source.empty()) {
+        continue;
       }
-    }
-    for (auto& [key, incoming] : copied) {
-      Shard& shard = shardOf(key);
-      std::lock_guard<std::mutex> lock(shard.mutex);
-      Series& mine = shard.series[key];
-      const std::pair<std::map<std::int64_t, Rollup>*,
-                      std::map<std::int64_t, Rollup>*>
-          planes[] = {{&mine.fine, &incoming.fine},
-                      {&mine.coarse, &incoming.coarse}};
-      const int retentions[] = {options_.fineRetentionWindows,
-                                options_.coarseRetentionWindows};
-      for (int p = 0; p < 2; ++p) {
-        auto& target = *planes[p].first;
-        const auto& source = *planes[p].second;
-        for (const auto& [index, rollup] : source) {
-          target[index].combine(rollup);
+      WindowPlane& target = planeOf(mine, resolution);
+      const int retain = retention(resolution);
+      const std::int64_t newest =
+          target.empty() ? source.newestIndex()
+                         : std::max(target.newestIndex(), source.newestIndex());
+      const std::int64_t horizon = oldestKept(newest, retain);
+      trimBelow(target, horizon, shard.evicted);
+      for (const auto& [index, rollup] : source) {
+        if (index < horizon) {
+          ++shard.evicted;
+          continue;
         }
-        if (!target.empty()) {
-          const std::int64_t oldestKept =
-              target.rbegin()->first - retentions[p] + 1;
-          while (!target.empty() && target.begin()->first < oldestKept) {
-            target.erase(target.begin());
-            ++shard.evicted;
-          }
-        }
+        admitWindow(target, index, retain, shard.evicted)->combine(rollup);
       }
     }
   }
@@ -233,43 +570,51 @@ StoreSnapshot RollupStore::snapshot() const {
   out.fineWindowSeconds_ = options_.fineWindowSeconds;
   out.coarseWindowSeconds_ =
       options_.fineWindowSeconds * options_.coarseFactor;
+  std::lock_guard<std::mutex> indexLock(indexMutex_);
   // All shard locks, in index order (writers only ever hold one shard
-  // lock, so this cannot deadlock against ingest): the copy and the
+  // lock, so this cannot deadlock against ingest): the pointers and the
   // generation reading describe exactly the same instant.
   std::vector<std::unique_lock<std::mutex>> locks;
   locks.reserve(shards_.size());
-  std::size_t total = 0;
   for (const auto& shard : shards_) {
     locks.emplace_back(shard->mutex);
-    total += shard->series.size();
   }
   out.generation_ = dataGeneration_.load(std::memory_order_acquire);
-  out.series_.reserve(total);
-  for (const auto& shard : shards_) {
-    for (const auto& [key, series] : shard->series) {
-      SeriesSnapshot snap;
-      snap.key = key;
-      snap.fine = series.fine;
-      snap.coarse = series.coarse;
-      out.series_.push_back(std::move(snap));
+  out.membershipGeneration_ =
+      membershipGeneration_.load(std::memory_order_acquire);
+  if (indexMembership_ != out.membershipGeneration_) {
+    std::vector<Series*> order;
+    for (const auto& shard : shards_) {
+      for (auto& [key, series] : shard->series) {
+        order.push_back(&series);
+      }
     }
+    std::sort(order.begin(), order.end(), [](const Series* a, const Series* b) {
+      return a->version->key < b->version->key;
+    });
+    index_.clear();
+    index_.reserve(order.size());
+    for (Series* series : order) {
+      series->slot = index_.size();
+      index_.push_back(series->version);
+    }
+    indexMembership_ = out.membershipGeneration_;
   }
-  locks.clear();
-  std::sort(out.series_.begin(), out.series_.end(),
-            [](const SeriesSnapshot& a, const SeriesSnapshot& b) {
-              return a.key < b.key;
-            });
+  out.series_ = index_;
+  // Everything just captured is now shared: the next write to any of it
+  // clones first (writableVersion / writableSlot).
+  ++publishEpoch_;
   return out;
 }
 
 const SeriesSnapshot* StoreSnapshot::find(const SeriesKey& key) const {
   const auto it = std::lower_bound(
       series_.begin(), series_.end(), key,
-      [](const SeriesSnapshot& s, const SeriesKey& k) { return s.key < k; });
-  if (it == series_.end() || !(it->key == key)) {
+      [](const Version& s, const SeriesKey& k) { return s->key < k; });
+  if (it == series_.end() || !((*it)->key == key)) {
     return nullptr;
   }
-  return &*it;
+  return it->get();
 }
 
 std::optional<WindowRollup> StoreSnapshot::latest(
@@ -278,48 +623,27 @@ std::optional<WindowRollup> StoreSnapshot::latest(
   if (series == nullptr) {
     return std::nullopt;
   }
-  const auto& windows =
-      resolution == Resolution::kFine ? series->fine : series->coarse;
-  if (windows.empty()) {
-    return std::nullopt;
-  }
-  const double width = resolution == Resolution::kFine
-                           ? fineWindowSeconds_
-                           : coarseWindowSeconds_;
-  WindowRollup out;
-  out.windowStartSeconds = static_cast<double>(windows.rbegin()->first) * width;
-  out.windowSeconds = width;
-  out.rollup = windows.rbegin()->second;
-  return out;
+  return latestOf(planeOf(*series, resolution),
+                  resolution == Resolution::kFine ? fineWindowSeconds_
+                                                  : coarseWindowSeconds_);
 }
 
 std::vector<WindowRollup> StoreSnapshot::range(const SeriesKey& key, double t0,
                                                double t1,
                                                Resolution resolution) const {
-  std::vector<WindowRollup> out;
-  if (t1 < t0) {
-    return out;
-  }
   const SeriesSnapshot* series = find(key);
   if (series == nullptr) {
-    return out;
+    return {};
   }
-  const auto& windows =
-      resolution == Resolution::kFine ? series->fine : series->coarse;
-  const double width = resolution == Resolution::kFine
-                           ? fineWindowSeconds_
-                           : coarseWindowSeconds_;
-  const auto first = static_cast<std::int64_t>(std::floor(t0 / width));
-  const auto last = static_cast<std::int64_t>(std::floor(t1 / width));
-  for (auto w = windows.lower_bound(first);
-       w != windows.end() && w->first <= last; ++w) {
-    WindowRollup row;
-    row.windowStartSeconds = static_cast<double>(w->first) * width;
-    row.windowSeconds = width;
-    row.rollup = w->second;
-    out.push_back(row);
-  }
-  return out;
+  return range(*series, t0, t1, resolution);
+}
+
+std::vector<WindowRollup> StoreSnapshot::range(const SeriesSnapshot& series,
+                                               double t0, double t1,
+                                               Resolution resolution) const {
+  return rangeOf(planeOf(series, resolution), t0, t1,
+                 resolution == Resolution::kFine ? fineWindowSeconds_
+                                                 : coarseWindowSeconds_);
 }
 
 void RollupStore::enableDirtyTracking() {
@@ -342,21 +666,20 @@ std::size_t RollupStore::drainDirty(std::vector<DirtyWindow>& out,
           {Resolution::kFine, &series.dirtyFine},
           {Resolution::kCoarse, &series.dirtyCoarse}};
       for (const auto& [resolution, dirty] : planes) {
-        const auto& windows =
-            resolution == Resolution::kFine ? series.fine : series.coarse;
+        const WindowPlane& windows = planeOf(*series.version, resolution);
         while (!dirty->empty() && appended < maxWindows) {
           const std::int64_t index = *dirty->begin();
           dirty->erase(dirty->begin());
           --shard->dirty;
-          const auto it = windows.find(index);
-          if (it == windows.end()) {
+          const Rollup* rollup = windows.find(index);
+          if (rollup == nullptr) {
             continue;  // evicted since it was marked
           }
           DirtyWindow w;
           w.key = key;
           w.resolution = resolution;
           w.windowIndex = index;
-          w.rollup = it->second;
+          w.rollup = *rollup;
           out.push_back(std::move(w));
           ++appended;
         }
@@ -376,12 +699,12 @@ void RollupStore::markAllDirty() {
   for (auto& shard : shards_) {
     std::lock_guard<std::mutex> lock(shard->mutex);
     for (auto& [key, series] : shard->series) {
-      for (const auto& [index, rollup] : series.fine) {
+      for (const auto& [index, rollup] : series.version->fine) {
         if (series.dirtyFine.insert(index).second) {
           ++shard->dirty;
         }
       }
-      for (const auto& [index, rollup] : series.coarse) {
+      for (const auto& [index, rollup] : series.version->coarse) {
         if (series.dirtyCoarse.insert(index).second) {
           ++shard->dirty;
         }
@@ -407,47 +730,21 @@ std::optional<WindowRollup> RollupStore::latest(const SeriesKey& key,
   if (it == shard.series.end()) {
     return std::nullopt;
   }
-  const auto& windows =
-      resolution == Resolution::kFine ? it->second.fine : it->second.coarse;
-  if (windows.empty()) {
-    return std::nullopt;
-  }
-  const double width = windowSeconds(resolution);
-  WindowRollup out;
-  out.windowStartSeconds =
-      static_cast<double>(windows.rbegin()->first) * width;
-  out.windowSeconds = width;
-  out.rollup = windows.rbegin()->second;
-  return out;
+  return latestOf(planeOf(*it->second.version, resolution),
+                  windowSeconds(resolution));
 }
 
 std::vector<WindowRollup> RollupStore::range(const SeriesKey& key, double t0,
                                              double t1,
                                              Resolution resolution) const {
-  std::vector<WindowRollup> out;
-  if (t1 < t0) {
-    return out;
-  }
   const Shard& shard = shardOf(key);
   std::lock_guard<std::mutex> lock(shard.mutex);
   const auto it = shard.series.find(key);
   if (it == shard.series.end()) {
-    return out;
+    return {};
   }
-  const auto& windows =
-      resolution == Resolution::kFine ? it->second.fine : it->second.coarse;
-  const double width = windowSeconds(resolution);
-  const auto first = static_cast<std::int64_t>(std::floor(t0 / width));
-  const auto last = static_cast<std::int64_t>(std::floor(t1 / width));
-  for (auto w = windows.lower_bound(first);
-       w != windows.end() && w->first <= last; ++w) {
-    WindowRollup row;
-    row.windowStartSeconds = static_cast<double>(w->first) * width;
-    row.windowSeconds = width;
-    row.rollup = w->second;
-    out.push_back(row);
-  }
-  return out;
+  return rangeOf(planeOf(*it->second.version, resolution), t0, t1,
+                 windowSeconds(resolution));
 }
 
 std::vector<SeriesKey> RollupStore::keys() const {

@@ -10,17 +10,29 @@
 // horizon merge into the correct window.  Sources that stop reporting
 // are evicted wholesale after `staleSeconds` (deltadb-style history
 // truncation: the store answers "now" and "recently", not "ever").
+//
+// Storage is copy-on-write shared with the snapshots the store publishes
+// (DESIGN.md §12): each series is an immutable version holding its
+// newest window inline and older windows in fixed-size chunks, a
+// snapshot copies one version pointer per series, and a writer clones
+// only the version (plus the chunk table and the one chunk it touches,
+// for a window below the newest) — and only when a snapshot published
+// since could see them.
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
+#include <iterator>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace zerosum::aggregator {
@@ -108,22 +120,183 @@ struct DirtyWindow {
   Rollup rollup;
 };
 
-/// Point-in-time copy of one series' retained windows (both planes).
-struct SeriesSnapshot {
-  SeriesKey key;
-  std::map<std::int64_t, Rollup> fine;
-  std::map<std::int64_t, Rollup> coarse;
+/// A run of kWindows consecutive windows of one resolution of one
+/// series, starting at a multiple of kWindows.  A slot whose count is 0
+/// holds no window.  Shared by the live store and every snapshot that
+/// captured it; the store writes one in place only while `epoch` says no
+/// snapshot has been published since it was allocated.  Allocated when a
+/// window below the head first lands in its run, never ahead of data.
+struct WindowChunk {
+  static constexpr int kShift = 4;
+  static constexpr int kWindows = 1 << kShift;
+
+  std::array<Rollup, kWindows> slots{};
+  std::uint64_t epoch = 0;  ///< RollupStore publish epoch at allocation
 };
 
-/// Immutable point-in-time copy of the whole store, taken under every
-/// shard lock so no concurrent ingest can tear it (DESIGN.md §12).  The
+/// The retained windows of one resolution of one series.  The newest
+/// window lives inline (the head), so the common write — into the
+/// current window — touches no chunk; older windows live in chunks held
+/// by a chunk table, which versions share until one writes a chunk.
+/// Eviction advances a lower bound (`oldest`) and drops whole chunks, so
+/// it never writes a chunk either.  Iterates like a map from window index
+/// to rollup, oldest first — `for (const auto& [index, rollup] : plane)`
+/// — yielding pairs by value.
+class WindowPlane {
+ public:
+  class const_iterator {
+   public:
+    using iterator_category = std::forward_iterator_tag;
+    using value_type = std::pair<std::int64_t, Rollup>;
+    using difference_type = std::ptrdiff_t;
+    using pointer = void;
+    using reference = value_type;
+
+    const_iterator() = default;
+    [[nodiscard]] value_type operator*() const { return {index_, *at_}; }
+    const_iterator& operator++();
+    const_iterator operator++(int);
+    friend bool operator==(const const_iterator&,
+                           const const_iterator&) = default;
+
+   private:
+    friend class WindowPlane;
+    /// Positions on the first retained window with index >= `from`.
+    const_iterator(const WindowPlane* plane, std::int64_t from);
+
+    const WindowPlane* plane_ = nullptr;
+    std::int64_t index_ = 0;
+    const Rollup* at_ = nullptr;  ///< null at end()
+  };
+
+  [[nodiscard]] bool empty() const { return size_ == 0; }
+  [[nodiscard]] std::size_t size() const { return size_; }
+  [[nodiscard]] const_iterator begin() const;
+  [[nodiscard]] const_iterator end() const;
+  /// First retained window with index >= `index`.
+  [[nodiscard]] const_iterator lowerBound(std::int64_t index) const;
+  /// Newest retained window index; meaningful only when !empty().
+  [[nodiscard]] std::int64_t newestIndex() const { return newest_; }
+  /// The window at `index`, or null when it is not retained.
+  [[nodiscard]] const Rollup* find(std::int64_t index) const;
+  /// The chunk holding window `index` (null for the head window, or when
+  /// no chunk covers it) — lets callers and tests see which storage two
+  /// planes share.
+  [[nodiscard]] const WindowChunk* chunk(std::int64_t index) const;
+
+ private:
+  friend class RollupStore;
+
+  /// Chunk pointers covering the windows below the head, null where a
+  /// run holds no window.  Shared like chunks: written in place only
+  /// while `epoch` is the store's publish epoch.
+  struct Table {
+    std::int64_t firstChunk = 0;  ///< chunk number of chunks[0]
+    std::vector<std::shared_ptr<WindowChunk>> chunks;
+    std::uint64_t epoch = 0;
+  };
+
+  /// First retained window at or after `from`: sets `index`, returns the
+  /// rollup, or null past the newest.
+  const Rollup* seek(std::int64_t from, std::int64_t& index) const;
+
+  std::shared_ptr<Table> table_;  ///< null when no chunk was written
+  Rollup head_;                   ///< window `newest_`, when !empty()
+  std::int64_t newest_ = 0;
+  /// Windows below this are evicted; their slots may linger in a chunk
+  /// the plane still holds, and are never read.
+  std::int64_t oldest_ = 0;
+  std::size_t size_ = 0;  ///< retained windows, head included
+};
+
+/// One immutable version of one series' retained windows (both planes).
+/// Snapshots hold these by pointer; a version the store has published is
+/// never written again.  Every version of a series shares one key, so a
+/// clone copies no strings.
+struct SeriesSnapshot {
+  explicit SeriesSnapshot(std::shared_ptr<const SeriesKey> sharedKey)
+      : sharedKey_(std::move(sharedKey)), key(*sharedKey_) {}
+  SeriesSnapshot(const SeriesSnapshot& other)
+      : sharedKey_(other.sharedKey_),
+        key(*sharedKey_),
+        fine(other.fine),
+        coarse(other.coarse) {}
+  SeriesSnapshot& operator=(const SeriesSnapshot&) = delete;
+
+ private:
+  std::shared_ptr<const SeriesKey> sharedKey_;  ///< owns what `key` names
+
+ public:
+  const SeriesKey& key;
+  WindowPlane fine;
+  WindowPlane coarse;
+};
+
+/// Immutable point-in-time view of the whole store, taken under every
+/// shard lock so no concurrent ingest can tear it (DESIGN.md §12).  It
+/// holds one version pointer per series, sharing window storage with the
+/// store, so taking one costs O(series), not O(retained windows).  The
 /// query service hands one of these (behind a shared_ptr) to every
 /// reader: a dashboard query runs against a frozen generation no matter
 /// how hard ingest is advancing the live store underneath.
 class StoreSnapshot {
  public:
-  /// The store's data generation at the instant the copy was taken.
+  using Version = std::shared_ptr<const SeriesSnapshot>;
+
+  /// The captured series, sorted by (job, rank, metric); iterating yields
+  /// `const SeriesSnapshot&`.
+  class SeriesList {
+   public:
+    class const_iterator {
+     public:
+      using iterator_category = std::forward_iterator_tag;
+      using value_type = SeriesSnapshot;
+      using difference_type = std::ptrdiff_t;
+      using pointer = const SeriesSnapshot*;
+      using reference = const SeriesSnapshot&;
+
+      const_iterator() = default;
+      explicit const_iterator(std::vector<Version>::const_iterator it)
+          : it_(it) {}
+      reference operator*() const { return **it_; }
+      pointer operator->() const { return it_->get(); }
+      const_iterator& operator++() {
+        ++it_;
+        return *this;
+      }
+      const_iterator operator++(int) {
+        const_iterator old = *this;
+        ++it_;
+        return old;
+      }
+      friend bool operator==(const const_iterator&,
+                             const const_iterator&) = default;
+
+     private:
+      std::vector<Version>::const_iterator it_;
+    };
+
+    explicit SeriesList(const std::vector<Version>& versions)
+        : versions_(&versions) {}
+    [[nodiscard]] const_iterator begin() const {
+      return const_iterator(versions_->begin());
+    }
+    [[nodiscard]] const_iterator end() const {
+      return const_iterator(versions_->end());
+    }
+    [[nodiscard]] std::size_t size() const { return versions_->size(); }
+
+   private:
+    const std::vector<Version>* versions_;
+  };
+
+  /// The store's data generation at the instant the view was taken.
   [[nodiscard]] std::uint64_t generation() const { return generation_; }
+  /// The store's membership generation at the same instant: changes
+  /// only when a series is added or evicted.
+  [[nodiscard]] std::uint64_t membershipGeneration() const {
+    return membershipGeneration_;
+  }
 
   /// Newest window of a series at the given resolution.
   [[nodiscard]] std::optional<WindowRollup> latest(
@@ -133,11 +306,15 @@ class StoreSnapshot {
   [[nodiscard]] std::vector<WindowRollup> range(
       const SeriesKey& key, double t0, double t1,
       Resolution resolution = Resolution::kFine) const;
+  /// Same, for a series already in hand (no lookup).
+  [[nodiscard]] std::vector<WindowRollup> range(
+      const SeriesSnapshot& series, double t0, double t1,
+      Resolution resolution = Resolution::kFine) const;
 
   /// All captured series, sorted by (job, rank, metric).
-  [[nodiscard]] const std::vector<SeriesSnapshot>& series() const {
-    return series_;
-  }
+  [[nodiscard]] SeriesList series() const { return SeriesList(series_); }
+  /// One captured series, or null (binary search).
+  [[nodiscard]] const SeriesSnapshot* find(const SeriesKey& key) const;
 
   [[nodiscard]] std::size_t seriesCount() const { return series_.size(); }
   [[nodiscard]] double fineWindowSeconds() const { return fineWindowSeconds_; }
@@ -148,12 +325,11 @@ class StoreSnapshot {
  private:
   friend class RollupStore;
 
-  [[nodiscard]] const SeriesSnapshot* find(const SeriesKey& key) const;
-
   std::uint64_t generation_ = 0;
+  std::uint64_t membershipGeneration_ = 0;
   double fineWindowSeconds_ = 1.0;
   double coarseWindowSeconds_ = 10.0;
-  std::vector<SeriesSnapshot> series_;  ///< sorted by key
+  std::vector<Version> series_;  ///< sorted by key
 };
 
 class RollupStore {
@@ -198,11 +374,18 @@ class RollupStore {
     return dataGeneration_.load(std::memory_order_acquire);
   }
 
-  /// Takes a point-in-time copy of every retained window under all shard
-  /// locks (ingest stalls for the duration of the copy, which is why the
-  /// query service rate-limits refreshes and shares one snapshot across
-  /// readers).  The snapshot's generation() is read under the same
-  /// locks, so it exactly identifies the copied state.
+  /// Monotone counter bumped when a series is added or evicted.  Two
+  /// equal readings bracket an interval in which the key set is fixed.
+  [[nodiscard]] std::uint64_t membershipGeneration() const {
+    return membershipGeneration_.load(std::memory_order_acquire);
+  }
+
+  /// Publishes a point-in-time view under all shard locks: one version
+  /// pointer per series in key order (the order is re-sorted only after
+  /// membership changed), no window copied.  Publishing marks every
+  /// current version and chunk shared, so the next write to each clones
+  /// it first.  The snapshot's generation() is read under the same
+  /// locks, so it exactly identifies the captured state.
   [[nodiscard]] StoreSnapshot snapshot() const;
 
   // --- federation surface (DESIGN.md §11) ----------------------------------
@@ -224,7 +407,8 @@ class RollupStore {
   /// root's path to answering queries over the union of per-shard
   /// stores.  When the two stores partition series (consistent-hash
   /// sharding), the result is bit-identical to one store having ingested
-  /// everything.
+  /// everything.  Windows of `other` beyond this store's horizon count
+  /// as evicted.
   void merge(const RollupStore& other);
 
   /// Turns on dirty-window tracking (off by default: the bookkeeping is
@@ -271,14 +455,19 @@ class RollupStore {
 
  private:
   struct Series {
-    /// windowIndex -> rollup, bounded by the retention depth.
-    std::map<std::int64_t, Rollup> fine;
-    std::map<std::int64_t, Rollup> coarse;
+    /// The current version; writable in place only while
+    /// `epoch == publishEpoch_` (no snapshot has captured it).
+    std::shared_ptr<SeriesSnapshot> version;
+    std::uint64_t epoch = 0;
+    /// Position in index_, or kNoSlot until the next rebuild.
+    std::size_t slot = kNoSlot;
     /// Window indices touched since the last drainDirty() (only
     /// maintained while dirty tracking is on).
     std::set<std::int64_t> dirtyFine;
     std::set<std::int64_t> dirtyCoarse;
   };
+
+  static constexpr std::size_t kNoSlot = static_cast<std::size_t>(-1);
 
   struct Shard {
     mutable std::mutex mutex;
@@ -291,10 +480,30 @@ class RollupStore {
   [[nodiscard]] Shard& shardOf(const SeriesKey& key);
   [[nodiscard]] const Shard& shardOf(const SeriesKey& key) const;
   [[nodiscard]] double windowSeconds(Resolution resolution) const;
+  [[nodiscard]] int retention(Resolution resolution) const;
 
-  static void mergeBounded(std::map<std::int64_t, Rollup>& windows,
-                           std::int64_t index, double value, int retention,
-                           std::uint64_t& evicted);
+  /// The series for `key`, created (and membership bumped) on first
+  /// touch.  Caller holds shard.mutex.
+  Series& seriesLocked(Shard& shard, const SeriesKey& key);
+  /// The series' version, cloned first if a snapshot may share it.
+  /// Caller holds the series' shard lock.
+  SeriesSnapshot& writableVersion(Series& series) const;
+  /// Admits a write at `index` into `plane`: null when the index is
+  /// beyond the retention horizon, else evicts what the write pushes off
+  /// the horizon and returns the window's writable rollup, which the
+  /// caller must leave holding a window (count > 0).
+  Rollup* admitWindow(WindowPlane& plane, std::int64_t index, int retention,
+                      std::uint64_t& evicted) const;
+  /// Evicts every window below `oldestKept`, counting them.
+  void trimBelow(WindowPlane& plane, std::int64_t oldestKept,
+                 std::uint64_t& evicted) const;
+  /// Same, for chunk windows only (the head is kept): advances the
+  /// plane's lower bound and drops chunks wholly below it.
+  void hideBelow(WindowPlane& plane, std::int64_t oldestKept,
+                 std::uint64_t& evicted) const;
+  /// The chunk slot of window `index` (below the head), with the table
+  /// and chunk allocated or cloned so it is writable.
+  Rollup& writableSlot(WindowPlane& plane, std::int64_t index) const;
 
   void mergeLocked(Series& series, double timeSeconds, double value,
                    Shard& shard);
@@ -309,7 +518,24 @@ class RollupStore {
   std::atomic<std::uint64_t> generation_{1};
   /// Bumped by every data mutation; see dataGeneration().
   std::atomic<std::uint64_t> dataGeneration_{1};
+  /// Bumped, under the affected shard's lock, when a series is added or
+  /// erased; see membershipGeneration().
+  std::atomic<std::uint64_t> membershipGeneration_{1};
   std::atomic<bool> trackDirty_{false};
+
+  /// Versions and chunks allocated in an older epoch may be shared with
+  /// a published snapshot.  Advanced by snapshot() while it holds every
+  /// shard lock; read by writers under their one shard lock.
+  mutable std::uint64_t publishEpoch_ = 1;
+
+  /// snapshot()'s series index: every series' current version in key
+  /// order, so a snapshot is one contiguous copy.  Rebuilt by snapshot()
+  /// when membership moved; between rebuilds a writer that clones a
+  /// version refreshes its own slot under its shard lock.  indexMutex_ is
+  /// taken before the shard locks.
+  mutable std::mutex indexMutex_;
+  mutable std::vector<StoreSnapshot::Version> index_;
+  mutable std::uint64_t indexMembership_ = 0;
 };
 
 }  // namespace zerosum::aggregator

@@ -238,6 +238,10 @@ std::vector<Delivery> TcpServer::poll() {
     if (fd < 0) {
       break;
     }
+    // Like the client side: no Nagle delay on batch acks and HTTP
+    // replies, which are small writes a peer is waiting on.
+    const int one = 1;
+    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
     setNonBlocking(fd);
     Conn conn;
     conn.fd = fd;

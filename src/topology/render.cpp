@@ -87,7 +87,9 @@ std::string renderNodeDiagram(const Topology& topo) {
                 std::to_string(gpu.visibleIndex);
     }
     if (gpuCol.empty()) {
-      gpuCol = "-";
+      // push_back, not `= "-"`: gcc 12 -O3 reports a false -Wrestrict
+      // overlap for assigning a literal to a string built by appends.
+      gpuCol.push_back('-');
     }
     out << strings::padRight(std::to_string(numaIdx), 6)
         << strings::padRight(pus.toList(), 28)

@@ -3,11 +3,15 @@
 // across window boundaries, eviction, and out-of-order arrival.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <cstdint>
 #include <limits>
 #include <map>
 #include <random>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "aggregator/store.hpp"
@@ -534,4 +538,270 @@ TEST(AggStoreSnapshot, SeriesAreSortedAndBothResolutionsPresent) {
   EXPECT_DOUBLE_EQ(coarse->windowSeconds,
                    store.options().fineWindowSeconds *
                        store.options().coarseFactor);
+}
+
+// --- copy-on-write snapshots (DESIGN.md §12) ---------------------------------
+
+namespace {
+
+/// Every window of every series of a snapshot, by value: what "the
+/// snapshot stayed bit-identical" is checked against.
+struct FlatWindow {
+  SeriesKey key;
+  Resolution resolution = Resolution::kFine;
+  std::int64_t index = 0;
+  Rollup rollup;
+};
+
+std::vector<FlatWindow> flatten(const StoreSnapshot& snap) {
+  std::vector<FlatWindow> out;
+  for (const SeriesSnapshot& series : snap.series()) {
+    for (const auto& [index, rollup] : series.fine) {
+      out.push_back({series.key, Resolution::kFine, index, rollup});
+    }
+    for (const auto& [index, rollup] : series.coarse) {
+      out.push_back({series.key, Resolution::kCoarse, index, rollup});
+    }
+  }
+  return out;
+}
+
+void expectSameWindows(const std::vector<FlatWindow>& want,
+                       const std::vector<FlatWindow>& got) {
+  ASSERT_EQ(want.size(), got.size());
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(want[i].key, got[i].key);
+    EXPECT_EQ(want[i].resolution, got[i].resolution);
+    EXPECT_EQ(want[i].index, got[i].index);
+    EXPECT_EQ(want[i].rollup.min, got[i].rollup.min);
+    EXPECT_EQ(want[i].rollup.max, got[i].rollup.max);
+    EXPECT_EQ(want[i].rollup.sum, got[i].rollup.sum);
+    EXPECT_EQ(want[i].rollup.count, got[i].rollup.count);
+  }
+}
+
+}  // namespace
+
+TEST(AggStoreCow, RefreshSharesStorageOfEveryUntouchedSeries) {
+  // The fleet root's shape: 32 ranks x 89 metrics = 2848 series, 40 s
+  // of 1 s windows each (three fine chunks per series).
+  RollupStore store;
+  for (int rank = 0; rank < 32; ++rank) {
+    for (int m = 0; m < 89; ++m) {
+      SeriesKey key{"fleet", rank, "m"};
+      key.metric += std::to_string(m);
+      for (int t = 0; t < 40; ++t) {
+        store.ingest(key, t + 0.5, rank + m + t);
+      }
+    }
+  }
+  const StoreSnapshot before = store.snapshot();
+  ASSERT_EQ(before.seriesCount(), 2848U);
+  const std::vector<FlatWindow> frozen = flatten(before);
+
+  // One series written in its newest window (the inline head), one
+  // written out of order in an older window (a chunk).
+  const SeriesKey current{"fleet", 7, "m42"};
+  const SeriesKey late{"fleet", 9, "m3"};
+  store.ingest(current, 39.25, 1000.0);
+  store.ingest(late, 20.5, -1.0);
+  const StoreSnapshot after = store.snapshot();
+  ASSERT_EQ(after.seriesCount(), 2848U);
+
+  std::size_t shared = 0;
+  auto a = before.series().begin();
+  for (const SeriesSnapshot& now : after.series()) {
+    const SeriesSnapshot& then = *a++;
+    ASSERT_EQ(now.key, then.key);
+    if (now.key == current) {
+      // A new version; a write to the newest window copies no chunk.
+      EXPECT_NE(&now, &then);
+      for (const std::int64_t w : {0, 16, 32}) {
+        EXPECT_NE(now.fine.chunk(w), nullptr);
+        EXPECT_EQ(now.fine.chunk(w), then.fine.chunk(w)) << w;
+      }
+      EXPECT_EQ(now.coarse.chunk(0), then.coarse.chunk(0));
+      EXPECT_EQ(now.fine.find(39)->max, 1000.0);
+      EXPECT_EQ(then.fine.find(39)->count, 1U);
+    } else if (now.key == late) {
+      // A new version sharing every chunk but the one written.
+      EXPECT_NE(&now, &then);
+      EXPECT_EQ(now.fine.chunk(0), then.fine.chunk(0));
+      EXPECT_NE(now.fine.chunk(20), then.fine.chunk(20));
+      EXPECT_EQ(now.fine.chunk(32), then.fine.chunk(32));
+      EXPECT_EQ(now.fine.find(20)->min, -1.0);
+      EXPECT_EQ(then.fine.find(20)->count, 1U);
+    } else {
+      shared += &now == &then ? 1 : 0;
+    }
+  }
+  EXPECT_EQ(shared, 2846U);
+  // The earlier snapshot never saw the write.
+  expectSameWindows(frozen, flatten(before));
+}
+
+TEST(AggStoreCow, MembershipGenerationMovesOnlyWithTheKeySet) {
+  RollupStore store;
+  const std::uint64_t m0 = store.membershipGeneration();
+  store.ingest(kKey, 1.5, 1.0);
+  const std::uint64_t m1 = store.membershipGeneration();
+  EXPECT_GT(m1, m0);
+  // More data into existing series: data moves, membership does not.
+  store.ingest(kKey, 2.5, 1.0);
+  store.ingestWindow(kKey, Resolution::kFine, 3, Rollup{2.0, 2.0, 2.0, 1});
+  EXPECT_EQ(store.membershipGeneration(), m1);
+  EXPECT_EQ(store.snapshot().membershipGeneration(), m1);
+  store.ingestWindow({"job", 1, "x"}, Resolution::kFine, 3,
+                     Rollup{2.0, 2.0, 2.0, 1});
+  const std::uint64_t m2 = store.membershipGeneration();
+  EXPECT_GT(m2, m1);
+  store.evictSource("job", 1);
+  EXPECT_GT(store.membershipGeneration(), m2);
+  const StoreSnapshot snap = store.snapshot();
+  ASSERT_EQ(snap.seriesCount(), 1U);
+  EXPECT_EQ(snap.series().begin()->key, kKey);
+}
+
+TEST(AggStoreCow, SnapshotsTakenMidStreamStayExact) {
+  // Snapshots taken between writes — so every kind of write meets
+  // shared chunks: merges, retention trims across chunk boundaries,
+  // out-of-order arrivals, whole-chunk drops — each still match the
+  // reference model at the instant they were taken.
+  StoreOptions options;
+  options.coarseFactor = 5;
+  options.fineRetentionWindows = 37;  // not a chunk multiple
+  options.coarseRetentionWindows = 9;
+  RollupStore store(options);
+  ReferenceModel model(options);
+  std::mt19937 rng(0x5EEDU);
+  std::uniform_real_distribution<double> jitter(-20.0, 3.0);
+  std::uniform_real_distribution<double> value(0.0, 100.0);
+  struct Taken {
+    StoreSnapshot snap;
+    std::map<std::int64_t, Rollup> fine;
+    std::map<std::int64_t, Rollup> coarse;
+  };
+  std::vector<Taken> taken;
+  double clock = 0.0;
+  for (int i = 0; i < 3000; ++i) {
+    clock += i % 500 == 499 ? 60.0 : 0.1;  // periodic jumps drop chunks
+    const double t = std::max(0.0, clock + jitter(rng));
+    const double v = value(rng);
+    store.ingest(kKey, t, v);
+    model.ingest(t, v);
+    if (rng() % 50 == 0) {
+      taken.push_back({store.snapshot(), model.windows(Resolution::kFine),
+                       model.windows(Resolution::kCoarse)});
+    }
+  }
+  ASSERT_GT(taken.size(), 20U);
+  for (const Taken& then : taken) {
+    for (const Resolution res : {Resolution::kFine, Resolution::kCoarse}) {
+      const auto& want = res == Resolution::kFine ? then.fine : then.coarse;
+      const auto got = then.snap.range(kKey, -1e12, 1e12, res);
+      ASSERT_EQ(got.size(), want.size());
+      std::size_t i = 0;
+      for (const auto& [index, rollup] : want) {
+        EXPECT_EQ(got[i].rollup.count, rollup.count) << index;
+        EXPECT_EQ(got[i].rollup.sum, rollup.sum) << index;
+        ++i;
+      }
+    }
+  }
+  expectMatchesReference(store, model, kKey, Resolution::kFine);
+  expectMatchesReference(store, model, kKey, Resolution::kCoarse);
+}
+
+TEST(AggStoreCow, ExtremeWindowIndicesStayBounded) {
+  // Forwarded window indices come off the wire: the far ends of int64
+  // must neither overflow the horizon arithmetic nor grow the chunk
+  // vector with the distance between windows.
+  RollupStore store;
+  const Rollup one{1.0, 1.0, 1.0, 1};
+  const std::int64_t lo = std::numeric_limits<std::int64_t>::min();
+  const std::int64_t hi = std::numeric_limits<std::int64_t>::max();
+  EXPECT_TRUE(store.ingestWindow(kKey, Resolution::kFine, lo, one));
+  EXPECT_TRUE(store.ingestWindow(kKey, Resolution::kFine, lo + 1, one));
+  EXPECT_TRUE(store.ingestWindow(kKey, Resolution::kFine, hi, one));
+  EXPECT_FALSE(store.ingestWindow(kKey, Resolution::kFine, lo, one));
+  EXPECT_TRUE(store.ingestWindow(kKey, Resolution::kFine, hi - 1, one));
+  const StoreSnapshot snap = store.snapshot();
+  const auto rows = snap.range(kKey, -1e300, 1e300);
+  ASSERT_EQ(rows.size(), 2U);
+  EXPECT_EQ(store.windowsEvicted(), 2U);
+  EXPECT_EQ(snap.latest(kKey)->rollup.count, 1U);
+}
+
+TEST(AggStoreCow, ReadersHoldSnapshotsWhileEveryWriterRuns) {
+  // Readers keep snapshots alive and re-read them while ingest,
+  // ingestWindow, evictSource and merge run on other threads: a held
+  // snapshot must read identically every time (run under TSan in CI).
+  StoreOptions options;
+  options.fineRetentionWindows = 40;
+  options.coarseRetentionWindows = 8;
+  RollupStore store(options);
+  RollupStore donor(options);
+  for (int t = 0; t < 50; ++t) {
+    donor.ingest({"donor", 0, "m"}, t + 0.5, t);
+  }
+  std::atomic<bool> stop{false};
+  std::atomic<int> failures{0};
+  std::vector<std::thread> threads;
+  threads.emplace_back([&] {
+    for (int i = 0; !stop.load(); ++i) {
+      SeriesKey key{"job", i % 4, "m"};
+      key.metric += std::to_string(i % 7);
+      store.ingest(key, i * 0.01, i);
+    }
+  });
+  threads.emplace_back([&] {
+    for (std::uint64_t i = 1; !stop.load(); ++i) {
+      store.ingestWindow({"fwd", static_cast<int>(i % 3), "m"},
+                         Resolution::kFine,
+                         static_cast<std::int64_t>(i / 5),
+                         Rollup{1.0, 2.0, 3.0, i % 5 + 1});
+    }
+  });
+  threads.emplace_back([&] {
+    for (int i = 0; !stop.load(); ++i) {
+      store.evictSource("job", i % 4);
+      store.merge(donor);
+      std::this_thread::yield();
+    }
+  });
+  for (int r = 0; r < 2; ++r) {
+    threads.emplace_back([&] {
+      std::uint64_t lastGeneration = 0;
+      for (int i = 0; i < 200; ++i) {
+        const StoreSnapshot snap = store.snapshot();
+        const std::vector<FlatWindow> first = flatten(snap);
+        std::this_thread::yield();
+        const std::vector<FlatWindow> second = flatten(snap);
+        bool same = first.size() == second.size();
+        for (std::size_t w = 0; same && w < first.size(); ++w) {
+          same = first[w].index == second[w].index &&
+                 first[w].rollup.count == second[w].rollup.count &&
+                 first[w].rollup.sum == second[w].rollup.sum;
+        }
+        const bool sorted = std::is_sorted(
+            snap.series().begin(), snap.series().end(),
+            [](const SeriesSnapshot& x, const SeriesSnapshot& y) {
+              return x.key < y.key;
+            });
+        if (!same || !sorted || snap.generation() < lastGeneration) {
+          failures.fetch_add(1);
+        }
+        lastGeneration = snap.generation();
+      }
+    });
+  }
+  for (std::size_t r = 3; r < threads.size(); ++r) {
+    threads[r].join();
+  }
+  stop.store(true);
+  for (std::size_t w = 0; w < 3; ++w) {
+    threads[w].join();
+  }
+  EXPECT_EQ(failures.load(), 0);
+  EXPECT_GT(store.seriesCount(), 0U);
 }

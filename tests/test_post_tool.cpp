@@ -109,7 +109,8 @@ class PostToolTest : public ::testing::Test {
   [[nodiscard]] std::string logGlob() const {
     std::string files;
     for (const auto& entry : fs::directory_iterator(dir_)) {
-      files += " " + entry.path().string();
+      files += ' ';
+      files += entry.path().string();
     }
     return files;
   }

@@ -8,7 +8,11 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <atomic>
+#include <chrono>
+#include <filesystem>
 #include <memory>
 #include <string>
 #include <thread>
@@ -17,8 +21,10 @@
 #include "aggregator/daemon.hpp"
 #include "aggregator/transport.hpp"
 #include "aggregator/wire.hpp"
+#include "aggregator/writer.hpp"
 #include "common/json.hpp"
 #include "trace/metrics.hpp"
+#include "tsdb/engine.hpp"
 
 using namespace zerosum;
 using namespace zerosum::aggregator;
@@ -86,7 +92,7 @@ TEST_F(QueryServiceTest, SnapshotIsFrozenWhileIngestAdvances) {
   QueryPlane plane;
   plane.ingest(1.0, 1);
 
-  const auto snap = plane.service.snapshot(1.0);
+  const auto snap = plane.service.snapshot();
   ASSERT_NE(snap, nullptr);
   const std::uint64_t frozen = snap->generation();
   ASSERT_EQ(snap->seriesCount(), 1u);
@@ -100,33 +106,39 @@ TEST_F(QueryServiceTest, SnapshotIsFrozenWhileIngestAdvances) {
   ASSERT_TRUE(latest.has_value());
   EXPECT_EQ(latest->rollup.max, 50.0);  // the t=2 record is not in it
 
-  // A refresh past the rate limit picks up the new generation.
-  const auto fresh = plane.service.snapshot(2.0);
+  // The next read refreshes to the new generation.
+  const auto fresh = plane.service.snapshot();
   EXPECT_EQ(fresh->generation(), plane.daemon.store().dataGeneration());
   EXPECT_EQ(fresh->latest(key)->rollup.max, 90.0);
 }
 
-TEST_F(QueryServiceTest, SnapshotRefreshIsRateLimited) {
-  QueryServiceOptions options;
-  options.snapshotMinIntervalSeconds = 10.0;
-  QueryPlane plane(options);
+TEST_F(QueryServiceTest, SnapshotReadsTheLiveGenerationOneRefreshEach) {
+  QueryPlane plane;
   plane.ingest(1.0, 1);
 
-  const auto first = plane.service.snapshot(1.0);
-  plane.ingest(2.0, 2);
-  // Stale, but inside the refresh interval: the shared copy is reused.
-  const auto second = plane.service.snapshot(2.0);
-  EXPECT_EQ(first.get(), second.get());
-  // Past the interval: refreshed.
-  const auto third = plane.service.snapshot(11.5);
-  EXPECT_NE(second.get(), third.get());
+  const auto first = plane.service.snapshot();
+  EXPECT_EQ(first->generation(), plane.daemon.store().dataGeneration());
+  // No ingest since: the shared snapshot is reused, not refreshed.
+  const auto again = plane.service.snapshot();
+  EXPECT_EQ(first.get(), again.get());
+  EXPECT_EQ(plane.service.counters().snapshotRefreshes, 1u);
+
+  // However soon after ingest, the next read sees the live generation —
+  // and two mutations between reads still cost a single refresh.
+  plane.ingest(1.001, 2);
+  plane.ingest(1.002, 3);
+  const auto live = plane.service.snapshot();
+  EXPECT_NE(first.get(), live.get());
+  EXPECT_EQ(live->generation(), plane.daemon.store().dataGeneration());
+  EXPECT_EQ(live->latest({"j1", 0, "hwt.0.user_pct"})->rollup.count, 3u);
+  EXPECT_EQ(plane.service.snapshot().get(), live.get());
   EXPECT_EQ(plane.service.counters().snapshotRefreshes, 2u);
+  // The earlier snapshot is untouched by the writes it did not see.
+  EXPECT_EQ(first->latest({"j1", 0, "hwt.0.user_pct"})->rollup.count, 1u);
 }
 
 TEST_F(QueryServiceTest, ConcurrentReadersSeeConsistentGenerations) {
-  QueryServiceOptions options;
-  options.snapshotMinIntervalSeconds = 0.0;
-  QueryPlane plane(options);
+  QueryPlane plane;
   plane.ingest(1.0, 1);
 
   // Readers hammer execute() from four threads while the main thread
@@ -414,4 +426,85 @@ TEST_F(QueryServiceTest, MalformedQueriesAre400NeverThrown) {
   const QueryResult result = plane.service.executeParams(
       "range", {{"metric", "m"}, {"t0", "abc"}}, QueryClass::kLive, 1.0);
   EXPECT_EQ(result.status, 400);
+}
+
+TEST_F(QueryServiceTest, ExportsSerializeAgainstTheThreadedWriter) {
+  // zerosum-aggd --async-writer: the writer's worker thread appends to
+  // the engine while exports read it.  The engine is single-owner, so
+  // exports must take the writer's engine lock (run under TSan in CI).
+  namespace fs = std::filesystem;
+  const fs::path dir = fs::temp_directory_path() /
+                       ("zs_query_export_" + std::to_string(::getpid()));
+  fs::remove_all(dir);
+  {
+    tsdb::EngineOptions engineOptions;
+    engineOptions.fsync = tsdb::FsyncPolicy::kOff;
+    engineOptions.walRotateBytes = 16 * 1024;  // compactions mid-export
+    tsdb::Engine engine(dir.string(), engineOptions);
+    WriterOptions writerOptions;
+    writerOptions.threaded = true;
+    TsdbWriter writer(&engine, writerOptions);
+    PipeHub hub;
+    Aggregator daemon(hub.makeServer());
+    daemon.attachWriter(&writer);
+    QueryService service(daemon);
+
+    std::atomic<bool> stop{false};
+    std::uint64_t submitted = 0;
+    std::thread appender([&] {
+      // Bounded (8000 samples, ~15 compactions) so engine retention never
+      // drops a segment: every export must see a superset of the last.
+      for (int i = 0; i < 4000 && !stop.load(std::memory_order_relaxed);
+           ++i) {
+        const std::vector<tsdb::Sample> samples{
+            {0.01 * i, "cpu.util", static_cast<double>(i % 100)},
+            {0.01 * i, "mem.rss", static_cast<double>(i)}};
+        if (writer.submit("j1", i % 4, samples)) {
+          submitted += samples.size();
+        }
+        // Paced below the worker's drain rate, so the daemon stays out of
+        // pressure and bulk exports are admitted.
+        std::this_thread::sleep_for(std::chrono::microseconds(50));
+      }
+    });
+    int answered = 0;
+    std::uint64_t lastTotal = 0;
+    for (int q = 0; q < 200; ++q) {
+      service.beginPoll(static_cast<double>(q));
+      const QueryResult result =
+          service.execute("{\"op\":\"export\"}", QueryClass::kBulk,
+                          static_cast<double>(q));
+      if (result.status != 200) continue;  // shed under writer pressure
+      ++answered;
+      const json::Value doc = json::parse(result.body);
+      std::uint64_t total = 0;
+      for (const json::Value& series : doc.find("series")->asArray()) {
+        for (const json::Value& row : series.find("windows")->asArray()) {
+          total += static_cast<std::uint64_t>(row.numberOr("count", 0));
+        }
+      }
+      EXPECT_GE(total, lastTotal) << "export went backwards";
+      lastTotal = total;
+      std::this_thread::sleep_for(std::chrono::microseconds(200));
+    }
+    stop.store(true);
+    appender.join();
+    writer.flush();
+    EXPECT_GT(answered, 0);
+    EXPECT_GT(lastTotal, 0u);  // exports read the engine mid-append
+    // Once drained, an export holds every appended sample.
+    service.beginPoll(1000.0);
+    const QueryResult last =
+        service.execute("{\"op\":\"export\"}", QueryClass::kBulk, 1000.0);
+    ASSERT_EQ(last.status, 200);
+    const json::Value doc = json::parse(last.body);
+    std::uint64_t total = 0;
+    for (const json::Value& series : doc.find("series")->asArray()) {
+      for (const json::Value& row : series.find("windows")->asArray()) {
+        total += static_cast<std::uint64_t>(row.numberOr("count", 0));
+      }
+    }
+    EXPECT_EQ(total, submitted);
+  }
+  fs::remove_all(dir);
 }

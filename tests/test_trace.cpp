@@ -378,7 +378,9 @@ TEST(Json, DoubleRoundTripIsBitExact) {
       -12345.678901234567,
   };
   for (const double v : cases) {
-    const std::string doc = "[" + printedNumber(v) + "]";
+    std::string doc = "[";  // appends: gcc 12 -O3 false -Wrestrict
+    doc += printedNumber(v);
+    doc += ']';
     const double back = json::parse(doc).asArray()[0].asNumber();
     EXPECT_EQ(doubleBits(back), doubleBits(v)) << "value " << doc;
   }
