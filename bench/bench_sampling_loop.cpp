@@ -1,10 +1,10 @@
 // Hot-path cost of one sampling period, stage by stage: ns/op and
-// allocs/op for the /proc readers+parsers, the publish fan-out, the
-// aggregation-client enqueue, and the tsdb append.  The zero-allocation
-// contract ("do no harm", paper §3.1/§4.1) is enforced here, not just
-// reported: the procfs, publish, and client-enqueue stages must measure
-// ZERO allocations per op in the steady state or the bench exits
-// nonzero.  (tsdb.append is reported but not zero-asserted: rollup
+// allocs/op for the /proc readers+parsers, the publish fan-out, the GPU
+// query + accumulate, the aggregation-client enqueue, and the tsdb
+// append.  The zero-allocation contract ("do no harm", paper §3.1/§4.1)
+// is enforced here, not just reported: the procfs, publish, gpu and
+// client-enqueue stages must measure ZERO allocations per op in the
+// steady state or the bench exits nonzero.  (tsdb.append is reported but not zero-asserted: rollup
 // windows and WAL growth allocate amortized as time advances.)
 //
 // Emits BENCH_sampling.json (json::Writer); --out <path> overrides the
@@ -30,6 +30,7 @@
 #include "core/monitor.hpp"
 #include "export/publisher.hpp"
 #include "export/stream.hpp"
+#include "gpu/simulated.hpp"
 #include "procfs/parse.hpp"
 #include "procfs/procfs.hpp"
 #include "procfs/simfs.hpp"
@@ -155,6 +156,22 @@ int main(int argc, char** argv) {
       std::cerr << "ERROR: publish stage delivered no records\n";
       return 1;
     }
+  }
+
+  // --- gpu: one device query folded into its record (GpuTracker's
+  // per-device step); the history vector is reserved, so this times the
+  // query and the accumulator update ------------------------------------
+  {
+    gpu::SimulatedGpu device(0, 0, "bench-gcd");
+    device.setActivity(0.5);
+    core::GpuRecord record;
+    record.samples.reserve(kWarmup + kIters);
+    double t = 0.0;
+    stages.push_back(measure("gpu.sample", true, kWarmup, kIters, [&] {
+      t += 0.01;
+      device.advance(0.01);
+      record.addSample(t, device.query());
+    }));
   }
 
   // --- aggregation client: id-record enqueue into the bounded queue ------

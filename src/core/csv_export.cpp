@@ -10,13 +10,14 @@ void CsvExporter::writeLwpSeries(std::ostream& out,
   out << "time,tid,type,state,utime,stime,utime_delta,stime_delta,vctx,"
          "nvctx,minflt,majflt,processor,affinity\n";
   for (const auto& [tid, record] : lwps) {
-    for (const auto& s : record.samples) {
+    for (std::size_t i = 0; i < record.samples.size(); ++i) {
+      const LwpSample& s = record.samples[i];
       out << strings::fixed(s.timeSeconds, 3) << ',' << tid << ','
           << lwpTypeName(record.type) << ',' << s.state << ',' << s.utime
           << ',' << s.stime << ',' << s.utimeDelta << ',' << s.stimeDelta
           << ',' << s.voluntaryCtx << ',' << s.nonvoluntaryCtx << ','
           << s.minorFaults << ',' << s.majorFaults << ',' << s.processor
-          << ",\"" << s.affinity.toList() << "\"\n";
+          << ",\"" << record.affinityAt(i).toList() << "\"\n";
     }
   }
 }

@@ -22,11 +22,7 @@ void GpuTracker::sample(double timeSeconds) {
     gpu::GpuDevice& device = *devices_[i];
     GpuRecord& record = records_[i];
 
-    const gpu::Sample sample = device.query();
-    for (const auto& [metric, value] : sample) {
-      record.accumulators[metric].add(value);
-    }
-    record.samples.emplace_back(timeSeconds, sample);
+    record.addSample(timeSeconds, device.query());
 
     const gpu::MemoryInfo mem = device.memoryInfo();
     if (mem.totalBytes == 0) {

@@ -163,6 +163,8 @@ void MonitorSession::sampleOnce(double timeSeconds) {
                    static_cast<double>(samplesDegraded_));
   ZS_TRACE_COUNTER("zs.subsystems_quarantined",
                    static_cast<double>(hs.subsystemsQuarantined));
+  ZS_TRACE_COUNTER("zs.monitor.history_bytes",
+                   static_cast<double>(historyBytes()));
   if (sampleCallback_) {
     ZS_TRACE_SCOPE("zs.export.callback");
     try {
@@ -270,6 +272,31 @@ void MonitorSession::sampleNow(double timeSeconds) {
   sampleOnce(timeSeconds);
 }
 
+namespace {
+
+template <typename T>
+std::size_t capacityBytes(const std::vector<T>& v) {
+  return v.capacity() * sizeof(T);
+}
+
+}  // namespace
+
+std::size_t MonitorSession::historyBytes() const {
+  std::size_t bytes = capacityBytes(healthSeries_) +
+                      capacityBytes(memTracker_->samples());
+  for (const auto& [tid, record] : lwpTracker_->records()) {
+    bytes += capacityBytes(record.samples) +
+             capacityBytes(record.affinityChanges);
+  }
+  for (const auto& [cpu, record] : hwtTracker_->records()) {
+    bytes += capacityBytes(record.samples);
+  }
+  for (const auto& record : gpuTracker_->records()) {
+    bytes += capacityBytes(record.samples);
+  }
+  return bytes;
+}
+
 MonitorHealth MonitorSession::health() const {
   MonitorHealth out;
   out.samplesTaken = samplesTaken_;
@@ -313,6 +340,8 @@ std::string MonitorSession::report() const {
   std::string rendered = Reporter::render(input);
   if (trace::TraceRecorder::instance().enabled()) {
     rendered += trace::renderSelfProfile();
+    rendered += "Sample history: " + std::to_string(historyBytes()) +
+                " bytes retained\n";
   }
   return rendered;
 }

@@ -98,6 +98,10 @@ class MonitorSession {
   [[nodiscard]] const std::vector<HealthSample>& healthSeries() const {
     return healthSeries_;
   }
+  /// Bytes the per-period history holds (the capacities of every
+  /// tracker's sample vectors and the health series): the monitor's own
+  /// footprint in the application, which grows with the run.
+  [[nodiscard]] std::size_t historyBytes() const;
 
   /// Runs the contention analyzer over everything sampled so far.
   [[nodiscard]] std::vector<Finding> analyze() const;

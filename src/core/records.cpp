@@ -1,5 +1,8 @@
 #include "core/records.hpp"
 
+#include <algorithm>
+#include <iterator>
+
 #include "common/error.hpp"
 
 namespace zerosum::core {
@@ -60,20 +63,31 @@ std::uint64_t LwpRecord::observedMigrations() const {
   return migrations;
 }
 
-const CpuSet& LwpRecord::lastAffinity() const {
-  if (samples.empty()) {
-    return kEmptySet;
+void LwpRecord::addSample(const LwpSample& sample, const CpuSet& affinity) {
+  if (!(affinity == lastAffinity())) {
+    affinityChanges.push_back({samples.size(), affinity});
   }
-  return samples.back().affinity;
+  samples.push_back(sample);
+}
+
+const CpuSet& LwpRecord::lastAffinity() const {
+  return affinityChanges.empty() ? kEmptySet : affinityChanges.back().cpus;
 }
 
 bool LwpRecord::affinityChanged() const {
-  for (std::size_t i = 1; i < samples.size(); ++i) {
-    if (!(samples[i].affinity == samples[i - 1].affinity)) {
-      return true;
-    }
-  }
-  return false;
+  // One entry starting after sample 0 follows an implicit empty run.
+  return affinityChanges.size() > 1 ||
+         (affinityChanges.size() == 1 &&
+          affinityChanges.front().firstSample > 0);
+}
+
+const CpuSet& LwpRecord::affinityAt(std::size_t sampleIndex) const {
+  const auto it = std::upper_bound(
+      affinityChanges.begin(), affinityChanges.end(), sampleIndex,
+      [](std::size_t index, const AffinityChange& change) {
+        return index < change.firstSample;
+      });
+  return it == affinityChanges.begin() ? kEmptySet : std::prev(it)->cpus;
 }
 
 namespace {
@@ -102,6 +116,13 @@ double HwtRecord::avgSystemPct() const {
 
 double HwtRecord::avgIdlePct() const {
   return averageOf(samples, &HwtSample::idlePct);
+}
+
+void GpuRecord::addSample(double timeSeconds, const gpu::Sample& sample) {
+  for (const auto& [metric, value] : sample) {
+    accumulators[metric].add(value);
+  }
+  samples.emplace_back(timeSeconds, sample);
 }
 
 }  // namespace zerosum::core

@@ -2,8 +2,8 @@
 // report/export consumes.  One sample per monitoring period per entity.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -17,7 +17,6 @@ namespace zerosum::core {
 /// One periodic observation of a light-weight process.
 struct LwpSample {
   double timeSeconds = 0.0;
-  char state = '?';
   // Cumulative kernel counters at sample time.
   std::uint64_t utime = 0;
   std::uint64_t stime = 0;
@@ -29,7 +28,15 @@ struct LwpSample {
   std::uint64_t utimeDelta = 0;
   std::uint64_t stimeDelta = 0;
   int processor = -1;
-  CpuSet affinity;
+  char state = '?';
+};
+
+/// The LWP's affinity from sample `firstSample` on, until the next
+/// change.  Affinity almost never changes, so a record keeps one entry
+/// per change rather than a 256-byte CpuSet per sample.
+struct AffinityChange {
+  std::size_t firstSample = 0;
+  CpuSet cpus;
 };
 
 /// Full history of one LWP over the run.
@@ -41,6 +48,14 @@ struct LwpRecord {
   bool alsoOpenMp = false;
   bool alive = true;  ///< false once the tid vanishes from /proc
   std::vector<LwpSample> samples;
+  /// Affinity change-points, in sample order.  Samples before the first
+  /// entry (and every sample of a record without entries) had an empty
+  /// affinity.
+  std::vector<AffinityChange> affinityChanges;
+
+  /// Appends one sample observed with `affinity`, recording a
+  /// change-point when it differs from lastAffinity().
+  void addSample(const LwpSample& sample, const CpuSet& affinity);
 
   [[nodiscard]] double avgUtimePerPeriod() const;
   [[nodiscard]] double avgStimePerPeriod() const;
@@ -54,6 +69,8 @@ struct LwpRecord {
   [[nodiscard]] const CpuSet& lastAffinity() const;
   /// True when the affinity list changed between any two samples.
   [[nodiscard]] bool affinityChanged() const;
+  /// Affinity in effect at sample `sampleIndex`.
+  [[nodiscard]] const CpuSet& affinityAt(std::size_t sampleIndex) const;
 };
 
 /// One periodic observation of a hardware thread.
@@ -94,8 +111,12 @@ struct GpuRecord {
   int visibleIndex = 0;
   int physicalIndex = 0;
   std::string model;
-  std::map<gpu::Metric, stats::Accumulator> accumulators;
+  /// Present for exactly the metrics the device has reported.
+  gpu::MetricArray<stats::Accumulator> accumulators;
   std::vector<std::pair<double, gpu::Sample>> samples;
+
+  /// Folds one device query into the accumulators and the series.
+  void addSample(double timeSeconds, const gpu::Sample& sample);
 };
 
 }  // namespace zerosum::core

@@ -139,12 +139,7 @@ std::string Reporter::renderGpuSection(const std::vector<GpuRecord>& gpus) {
       out << "  [true device index " << gpu.physicalIndex << "]";
     }
     out << '\n';
-    for (const gpu::Metric metric : gpu::kAllMetrics) {
-      const auto it = gpu.accumulators.find(metric);
-      if (it == gpu.accumulators.end()) {
-        continue;
-      }
-      const auto& acc = it->second;
+    for (const auto& [metric, acc] : gpu.accumulators) {
       out << "  " << strings::padRight(gpu::metricLabel(metric) + ":", 32)
           << strings::fixed(acc.min(), 6) << ' '
           << strings::fixed(acc.mean(), 6) << ' '

@@ -76,15 +76,21 @@ const SessionPublisher::HwtIds& SessionPublisher::hwtIdsFor(
   return it->second;
 }
 
-names::Id SessionPublisher::gpuIdFor(int visibleIndex, int metric) {
-  const auto [it, inserted] =
-      gpuIds_.try_emplace({visibleIndex, metric}, names::kInvalidId);
-  if (inserted) {
-    it->second = names::intern(
-        "gpu." + std::to_string(visibleIndex) + "." +
-        gpu::metricLabel(static_cast<gpu::Metric>(metric)));
+names::Id SessionPublisher::gpuIdFor(std::size_t record, int visibleIndex,
+                                     gpu::Metric metric) {
+  if (record >= gpuIds_.size()) {
+    gpuIds_.resize(record + 1);
   }
-  return it->second;
+  GpuIds& ids = gpuIds_[record];
+  if (ids.visibleIndex != visibleIndex) {
+    ids = GpuIds{visibleIndex, {}};
+  }
+  names::Id& id = ids.metric[static_cast<std::size_t>(metric)];
+  if (id == names::kInvalidId) {
+    id = names::intern("gpu." + std::to_string(visibleIndex) + "." +
+                       gpu::metricLabel(metric));
+  }
+  return id;
 }
 
 const Batch& SessionPublisher::makeBatch(const core::MonitorSession& session,
@@ -141,13 +147,15 @@ const Batch& SessionPublisher::makeBatch(const core::MonitorSession& session,
     }
   }
   if (options_.gpu) {
-    for (const auto& record : session.gpus().records()) {
+    const auto& gpus = session.gpus().records();
+    for (std::size_t i = 0; i < gpus.size(); ++i) {
+      const core::GpuRecord& record = gpus[i];
       if (record.samples.empty() ||
           !isCurrent(record.samples.back().first, timeSeconds)) {
         continue;
       }
       for (const auto& [metric, value] : record.samples.back().second) {
-        add(gpuIdFor(record.visibleIndex, static_cast<int>(metric)), value);
+        add(gpuIdFor(i, record.visibleIndex, metric), value);
       }
     }
   }

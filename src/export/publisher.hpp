@@ -9,10 +9,10 @@
 // owned by the publisher).
 #pragma once
 
+#include <array>
 #include <map>
 #include <memory>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "aggregator/client.hpp"
@@ -20,6 +20,7 @@
 #include "core/monitor.hpp"
 #include "export/staging.hpp"
 #include "export/stream.hpp"
+#include "gpu/metrics.hpp"
 
 namespace zerosum::exporter {
 
@@ -71,13 +72,20 @@ class SessionPublisher {
   struct HwtIds {
     names::Id user, system, idle;
   };
+  /// One GPU record's metric-name ids, indexed by gpu::Metric; kInvalidId
+  /// until the metric is first published.
+  struct GpuIds {
+    int visibleIndex = -1;
+    std::array<names::Id, gpu::kAllMetrics.size()> metric{};
+  };
 
   /// Fills batchScratch_ (reused across periods) and returns it.
   const Batch& makeBatch(const core::MonitorSession& session,
                          double timeSeconds);
   [[nodiscard]] const LwpIds& lwpIdsFor(int tid);
   [[nodiscard]] const HwtIds& hwtIdsFor(std::size_t cpu);
-  [[nodiscard]] names::Id gpuIdFor(int visibleIndex, int metric);
+  [[nodiscard]] names::Id gpuIdFor(std::size_t record, int visibleIndex,
+                                   gpu::Metric metric);
 
   MetricStream* stream_;
   Options options_;
@@ -95,7 +103,7 @@ class SessionPublisher {
   std::int32_t sourceRank_ = 0;
   std::map<int, LwpIds> lwpIds_;
   std::map<std::size_t, HwtIds> hwtIds_;
-  std::map<std::pair<int, int>, names::Id> gpuIds_;
+  std::vector<GpuIds> gpuIds_;  ///< by position in gpus().records()
   names::Id memAvailableId_ = names::kInvalidId;
   names::Id memRssId_ = names::kInvalidId;
 };

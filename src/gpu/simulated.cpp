@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "common/error.hpp"
 
@@ -81,7 +82,14 @@ SimulatedGpu::SimulatedGpu(int visibleIndex, int physicalIndex,
       params_(params),
       rng_(seed),
       temperatureC_(params.ambientTempC),
-      vramUsed_(params.vramBaseBytes) {}
+      vramUsed_(params.vramBaseBytes) {
+  for (Metric metric : params_.exposedMetrics) {
+    exposedMask_ |= Sample::bit(metric);
+  }
+  if (params_.exposedMetrics.empty()) {
+    exposedMask_ = std::numeric_limits<Sample::Mask>::max();
+  }
+}
 
 void SimulatedGpu::setActivity(double level) {
   activity_ = std::clamp(level, 0.0, 1.0);
@@ -172,16 +180,8 @@ Sample SimulatedGpu::query() {
   gfxCounterSinceQuery_ = 0.0;
   memCounterSinceQuery_ = 0.0;
 
-  if (!params_.exposedMetrics.empty()) {
-    Sample filtered;
-    for (Metric metric : params_.exposedMetrics) {
-      const auto it = s.find(metric);
-      if (it != s.end()) {
-        filtered.insert(*it);
-      }
-    }
-    return filtered;
-  }
+  // Only what the device's management library exposes.
+  s.retain(exposedMask_);
   return s;
 }
 

@@ -88,6 +88,8 @@ class SimulatedGpu final : public GpuDevice {
   double gfxCounterSinceQuery_ = 0.0;
   double memCounterSinceQuery_ = 0.0;
   bool throttling_ = false;
+  /// params_.exposedMetrics as a presence mask; query() keeps only these.
+  Sample::Mask exposedMask_ = 0;
 };
 
 /// A simulated device constrained to one vendor's metric surface, with a

@@ -34,8 +34,8 @@ LwpRecord twoSampleRecord() {
   a.nonvoluntaryCtx = 1;
   a.minorFaults = 100;
   a.processor = 2;
-  a.affinity = CpuSet::fromList("1-3,7");
-  r.samples.push_back(a);
+  const CpuSet cpus = CpuSet::fromList("1-3,7");
+  r.addSample(a, cpus);
   LwpSample b = a;
   b.timeSeconds = 2.0;
   b.utime = 170;
@@ -43,7 +43,7 @@ LwpRecord twoSampleRecord() {
   b.stime = 25;
   b.stimeDelta = 15;
   b.processor = 3;
-  r.samples.push_back(b);
+  r.addSample(b, cpus);
   return r;
 }
 
@@ -67,6 +67,36 @@ TEST(Records, EmptyRecordSafe) {
   EXPECT_EQ(r.observedMigrations(), 0u);
   EXPECT_TRUE(r.lastAffinity().empty());
   EXPECT_FALSE(r.affinityChanged());
+}
+
+TEST(Records, AffinityIsKeptAsChangePoints) {
+  LwpRecord r;
+  LwpSample s;
+  const CpuSet one = CpuSet::fromList("1");
+  const CpuSet twoThree = CpuSet::fromList("2-3");
+  r.addSample(s, one);
+  r.addSample(s, one);
+  EXPECT_FALSE(r.affinityChanged());
+  r.addSample(s, twoThree);
+  r.addSample(s, twoThree);
+  r.addSample(s, one);
+  ASSERT_EQ(r.affinityChanges.size(), 3u);  // one entry per change only
+  EXPECT_EQ(r.affinityChanges[1].firstSample, 2u);
+  EXPECT_TRUE(r.affinityChanged());
+  EXPECT_EQ(r.lastAffinity(), one);
+  const std::vector<std::string> expected = {"1", "1", "2-3", "2-3", "1"};
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    EXPECT_EQ(r.affinityAt(i).toList(), expected[i]) << "sample " << i;
+  }
+}
+
+TEST(Records, SamplesBeforeFirstAffinityAreEmpty) {
+  LwpRecord r;
+  r.samples.push_back(LwpSample{});
+  r.addSample(LwpSample{}, CpuSet::fromList("4"));
+  EXPECT_TRUE(r.affinityAt(0).empty());
+  EXPECT_EQ(r.affinityAt(1).toList(), "4");
+  EXPECT_TRUE(r.affinityChanged());  // empty -> 4
 }
 
 TEST(Records, HwtAverages) {

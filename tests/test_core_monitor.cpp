@@ -241,6 +241,49 @@ TEST(MonitorSession, GpuDevicesSampled) {
   EXPECT_NE(report.find("GPU 0 - (metric: min avg max)"), std::string::npos);
 }
 
+TEST(MonitorSession, HistoryBytesCoversEveryTracker) {
+  sim::SimNode node(CpuSet::fromList("0-3"), 4ULL << 30);
+  const sim::Pid pid = node.spawnProcess("app", CpuSet::fromList("0-1"));
+  sim::Behavior b;
+  b.iterations = 10;
+  b.iterWorkJiffies = 50;
+  node.spawnTask(pid, "app", LwpType::kMain, b);
+  node.spawnTask(pid, "worker", LwpType::kOther, b);
+
+  auto device = std::make_shared<gpu::SimulatedGpu>(0, 0, "gcd");
+  MonitorSession session(simConfig(), procfs::makeSimProcFs(node), {},
+                         {device});
+  EXPECT_EQ(session.historyBytes(), 0u);
+  for (int i = 1; i <= 4; ++i) {
+    device->advance(1.0);
+    node.advance(sim::kHz);
+    session.sampleNow(i);
+  }
+  // A lower bound from the sizes alone: capacities are at least the
+  // sample counts.
+  std::size_t floor = session.healthSeries().size() * sizeof(HealthSample) +
+                      session.memory().samples().size() * sizeof(MemSample);
+  for (const auto& [tid, record] : session.lwps().records()) {
+    floor += record.samples.size() * sizeof(LwpSample) +
+             record.affinityChanges.size() * sizeof(AffinityChange);
+  }
+  for (const auto& [cpu, record] : session.hwts().records()) {
+    floor += record.samples.size() * sizeof(HwtSample);
+  }
+  for (const auto& record : session.gpus().records()) {
+    floor += record.samples.size() * sizeof(record.samples.front());
+  }
+  const std::size_t afterFour = session.historyBytes();
+  EXPECT_GE(afterFour, floor);
+  EXPECT_LT(afterFour, 2 * floor);  // doubling growth at most
+  for (int i = 5; i <= 40; ++i) {
+    device->advance(1.0);
+    node.advance(sim::kHz);
+    session.sampleNow(i);
+  }
+  EXPECT_GT(session.historyBytes(), afterFour);
+}
+
 TEST(MonitorSession, CommRecorderExportedInLog) {
   sim::SimNode node(CpuSet::fromList("0"), 1ULL << 30);
   const sim::Pid pid = node.spawnProcess("app", CpuSet{});

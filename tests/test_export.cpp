@@ -1,6 +1,7 @@
 // Export subsystem: MetricStream pub/sub, PerfStubs-style tool API,
 // ADIOS2-style staging container, and the SessionPublisher glue.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <atomic>
 #include <chrono>
@@ -200,7 +201,12 @@ TEST(ToolApi, RecordingBackendCapturesEverything) {
 class StagingTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    path_ = (std::filesystem::temp_directory_path() / "zs_staging_test.bin")
+    // ctest runs each test case as its own process, in parallel: the
+    // path is unique per process and per test so no two cases share it.
+    const auto* info = ::testing::UnitTest::GetInstance()->current_test_info();
+    path_ = (std::filesystem::temp_directory_path() /
+             ("zs_staging_test." + std::to_string(::getpid()) + "." +
+              info->name() + ".bin"))
                 .string();
     std::filesystem::remove(path_);
   }

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <type_traits>
+#include <utility>
+#include <vector>
+
 #include "common/error.hpp"
 
 namespace zerosum::gpu {
@@ -13,6 +18,56 @@ TEST(MetricLabel, MatchesListing2Strings) {
   EXPECT_EQ(metricLabel(Metric::kVcnActivity), "UVD|VCN Activity");
   EXPECT_EQ(metricLabel(Metric::kUsedVisibleVramBytes),
             "Used Visible VRAM Bytes");
+}
+
+TEST(MetricArray, PresenceFollowsWrites) {
+  Sample s;
+  EXPECT_TRUE(s.empty());
+  EXPECT_EQ(s.size(), 0u);
+  EXPECT_FALSE(s.count(Metric::kPowerAverageW));
+  EXPECT_THROW((void)s.at(Metric::kPowerAverageW), std::out_of_range);
+  s[Metric::kPowerAverageW] = 120.0;
+  s[Metric::kClockGfxMhz];  // operator[] marks present, as std::map does
+  EXPECT_EQ(s.size(), 2u);
+  EXPECT_TRUE(s.count(Metric::kPowerAverageW));
+  EXPECT_DOUBLE_EQ(s.at(Metric::kPowerAverageW), 120.0);
+  EXPECT_DOUBLE_EQ(s.at(Metric::kClockGfxMhz), 0.0);
+}
+
+TEST(MetricArray, IteratesPresentMetricsInEnumOrder) {
+  Sample s;
+  s[Metric::kVoltageMv] = 3.0;
+  s[Metric::kClockGfxMhz] = 1.0;
+  s[Metric::kTemperatureC] = 2.0;
+  std::vector<std::pair<Metric, double>> seen;
+  for (const auto& [metric, value] : s) {
+    seen.emplace_back(metric, value);
+  }
+  const std::vector<std::pair<Metric, double>> expected = {
+      {Metric::kClockGfxMhz, 1.0},
+      {Metric::kTemperatureC, 2.0},
+      {Metric::kVoltageMv, 3.0}};
+  EXPECT_EQ(seen, expected);
+}
+
+TEST(MetricArray, RetainDropsAndResetsOthers) {
+  Sample s;
+  s[Metric::kClockGfxMhz] = 1.0;
+  s[Metric::kUsedGttBytes] = 2.0;
+  s.retain(Sample::bit(Metric::kClockGfxMhz));
+  EXPECT_EQ(s.size(), 1u);
+  EXPECT_FALSE(s.count(Metric::kUsedGttBytes));
+  // A dropped metric written again starts from zero, not the old value.
+  EXPECT_DOUBLE_EQ(s[Metric::kUsedGttBytes], 0.0);
+  Sample same;
+  same[Metric::kClockGfxMhz] = 1.0;
+  same[Metric::kUsedGttBytes] = 0.0;
+  EXPECT_EQ(s, same);
+}
+
+TEST(MetricArray, SampleIsAFixedSizeValue) {
+  static_assert(sizeof(Sample) <= 17 * sizeof(double));
+  static_assert(std::is_trivially_copyable_v<Sample>);
 }
 
 TEST(SimulatedGpu, Identity) {

@@ -521,9 +521,23 @@ TEST_F(TraceTest, TracedSessionEmitsSpansForAllFiveSubsystems) {
     EXPECT_TRUE(names.count(expected)) << "missing span " << expected;
   }
 
-  // The report carries the self-profile section when tracing is on.
+  // The report carries the self-profile section when tracing is on,
+  // with the history footprint that the per-period counter also carries.
   const std::string report = session.report();
   EXPECT_NE(report.find("Monitor self-profile"), std::string::npos);
+  EXPECT_NE(report.find("Sample history: " +
+                        std::to_string(session.historyBytes()) +
+                        " bytes retained"),
+            std::string::npos);
+  double lastHistory = 0.0;
+  for (const auto& e : trace::TraceRecorder::instance().snapshot()) {
+    if (e.kind == trace::EventKind::kCounter &&
+        std::string(e.name) == "zs.monitor.history_bytes") {
+      lastHistory = e.value;
+    }
+  }
+  EXPECT_GT(lastHistory, 0.0);
+  EXPECT_LE(lastHistory, static_cast<double>(session.historyBytes()));
 
   // And the attribution over the real recorded events keeps its invariant.
   const auto profile =

@@ -26,6 +26,7 @@
 #include "core/monitor.hpp"
 #include "export/publisher.hpp"
 #include "export/stream.hpp"
+#include "gpu/simulated.hpp"
 #include "procfs/parse.hpp"
 #include "procfs/procfs.hpp"
 #include "procfs/simfs.hpp"
@@ -111,6 +112,37 @@ TEST(ZeroAlloc, PublishPathSteadyState) {
   EXPECT_EQ(allocs, 0u)
       << "batch build + stream fan-out must not allocate once warm";
   EXPECT_GT(delivered, 0u);
+}
+
+TEST(ZeroAlloc, GpuQueryAndAccumulateSteadyState) {
+  // One full-surface device and one NVML-subset device, each folded into
+  // its record as GpuTracker does every period.  The history vectors are
+  // reserved, so what is measured is the query and the accumulator
+  // update: a sample is a fixed-size value, not a node per metric.
+  gpu::SimulatedGpu rocm(0, 0, "gcd");
+  auto nvml = gpu::makeVendorGpu(gpu::Vendor::kNvml, 1, 1);
+  core::GpuRecord full;
+  core::GpuRecord subset;
+  full.samples.reserve(kWarmup + kMeasured);
+  subset.samples.reserve(kWarmup + kMeasured);
+  double t = 0.0;
+  const std::uint64_t allocs = measuredAllocations([&] {
+    t += 1.0;
+    rocm.setActivity(0.5);
+    rocm.advance(1.0);
+    nvml->advance(1.0);
+    full.addSample(t, rocm.query());
+    subset.addSample(t, nvml->query());
+  });
+  EXPECT_EQ(allocs, 0u)
+      << "GPU query + accumulate must not allocate once warm";
+  EXPECT_EQ(full.samples.size(),
+            static_cast<std::size_t>(kWarmup + kMeasured));
+  EXPECT_EQ(full.accumulators.size(), gpu::kAllMetrics.size());
+  EXPECT_EQ(full.accumulators.at(gpu::Metric::kDeviceBusyPct).count(),
+            static_cast<std::size_t>(kWarmup + kMeasured));
+  EXPECT_EQ(subset.accumulators.size(),
+            gpu::vendorMetrics(gpu::Vendor::kNvml).size());
 }
 
 TEST(ZeroAlloc, AggregatorClientEnqueueSteadyState) {
